@@ -20,13 +20,13 @@ from typing import Optional
 
 from . import laws as laws_mod
 from . import repro as repro_mod
-from .montecarlo import estimate
+from .montecarlo import estimate, sample_path
 from .pars import (
     StateCapExceeded,
     analyze,
     grid_expected_lengths,
 )
-from .strategies import Strategy, n_steps, parse_probability
+from .strategies import STEPPERS, Strategy, n_steps, parse_probability
 from .terms import (
     NAMED_TERMS,
     ParseError,
@@ -82,8 +82,11 @@ def parse_grid(text: str) -> list[Fraction]:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # reported as a usage error by main
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -95,40 +98,21 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_reduce(args) -> int:
     _, t = resolve_term(args.term)
     strategy = Strategy.parse(args.strategy)
-    lines = [render(t)]
-    steps = 0
-    current = t
-    if strategy.kind == "peps":
-        # a randomized strategy is traced by sampling one seeded trajectory
-        from .montecarlo import SplitMix64, _Sampler
-
-        sampler = _Sampler(strategy)
-        state = sampler.add_root(current)
-        rng = SplitMix64(args.seed)
-        while steps < args.fuel:
-            table = sampler.table(state)
-            if table is None:
-                break
-            if table[0] == "dirac":
-                state = table[1]
-            else:
-                _, den, cums, targets = table
-                draw = rng.below(den)
-                state = next(t for t, cum in zip(targets, cums) if draw < cum)
-            lines.append(f"-> {render(sampler.rep(state))}")
-            steps += 1
-        exhausted = sampler.table(state) is not None
+    stepper = STEPPERS.get(strategy.name)
+    if stepper is None:
+        # a mixture is traced by sampling one seeded run over the alpha-classes
+        path, finished = sample_path(t, strategy, args.seed, args.fuel)
     else:
-        stepper = strategy.distribution
-        while steps < args.fuel:
-            dist = stepper(current)
-            if dist is None:
-                break
-            current = dist.rep(next(iter(dist.masses)))
-            lines.append(f"-> {render(current)}")
-            steps += 1
-        exhausted = stepper(current) is not None
-    if exhausted:
+        # lo and ri step the concrete terms
+        path = [t]
+        nxt = stepper(t)
+        while nxt is not None and len(path) <= args.fuel:
+            path.append(nxt)
+            nxt = stepper(nxt)
+        finished = nxt is None
+    lines = [render(path[0])] + [f"-> {render(u)}" for u in path[1:]]
+    steps = len(path) - 1
+    if not finished:
         lines.append(f"fuel exhausted after {steps} steps")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_INCONCLUSIVE
@@ -418,6 +402,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "fuel", 0) < 0:
+            raise ValueError(f"--fuel must be >= 0, got {args.fuel}")
         return args.func(args)
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"lambdalab: error: {exc}\n")

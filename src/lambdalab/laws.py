@@ -3,10 +3,10 @@ corpus check that either passes, produces a replayable counterexample, or
 reports itself inconclusive when an enumeration cap was hit.
 
 Brute-force oracles work on the alpha-class reduction graph: breadth-first
-closure under all one-step reducts (or all argument-normal reducts), with
-explicit state caps so blow-ups surface as inconclusive counts instead of
-hangs.  A law never passes vacuously because of a cap: cap hits are
-reported separately from passes.
+closure of a StateGraph under all one-step reducts (or all argument-normal
+reducts), with explicit state caps so blow-ups surface as inconclusive
+counts instead of hangs.  A law never passes vacuously because of a cap:
+cap hits are reported separately from passes.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .pars import StateCapExceeded, grid_expected_lengths
-from .strategies import anf_successors, beta_successors, n_steps
+from .pars import StateCapExceeded, StateGraph, _toposort_rows, grid_expected_lengths
+from .strategies import beta_successors, n_steps
 from .terms import (
-    CanonicalTerm,
     SubCalculus,
     Term,
-    canonicalize,
     ensure_recursion_headroom,
     free_vars,
     is_lambda_A,
@@ -202,75 +200,46 @@ def default_corpora(
 # reduction-graph oracles
 
 
-def _reduction_graph(
-    t: Term, successors: Callable[[Term], list[Term]], state_cap: int
-) -> Optional[tuple[list, dict]]:
-    """Alpha-class closure of t under a successor function.
+Edges = Callable[[int], tuple]  # class id -> successor ids, e.g. StateGraph.beta
 
-    Returns (BFS order, edges) with edges keyed by canonical term, or None
-    when more than state_cap classes were discovered.
+
+def _closure(graph: StateGraph, t: Term, edges: Edges, state_cap: int) -> Optional[list]:
+    """Class ids reachable from t under edges in breadth-first order, or
+    None when more than state_cap classes were discovered."""
+    try:
+        return graph.closure(graph.intern(t), edges, state_cap)
+    except StateCapExceeded:
+        return None
+
+
+def _topological(order: list, edges: Edges) -> Optional[list]:
+    """Topological order of the graph on order, or None if it has a cycle;
+    the chain solver's sort, given the edges as rows without weights."""
+    return _toposort_rows(order, {c: [(u, None) for u in edges(c)] for c in order})
+
+
+def _unique_length_to_nf(order: list, edges: Edges) -> tuple[str, Optional[int], str]:
+    """Path length from order[0] to normal form when it is unique.
+
+    Returns ("ok", length, "") with length None when no normal form is
+    reachable, ("cycle", None, detail) when a cycle lies on a normalizing
+    path, or ("mismatch", None, detail) when two paths from one state reach
+    normal form with different lengths.
     """
-    origin = canonicalize(t)
-    order = [origin]
-    reps = {origin: t}
-    edges: dict[CanonicalTerm, tuple] = {}
-    frontier = 0
-    while frontier < len(order):
-        c = order[frontier]
-        frontier += 1
-        targets = []
-        for u in successors(reps[c]):
-            cu = canonicalize(u)
-            if cu not in reps:
-                if len(order) >= state_cap:
-                    return None
-                reps[cu] = u
-                order.append(cu)
-            targets.append(cu)
-        edges[c] = tuple(targets)
-    return order, edges
-
-
-def _toposort(order: list, edges: dict) -> Optional[list]:
-    """Topological order of the graph, or None if it has a cycle."""
-    indegree = {c: 0 for c in order}
-    for c in order:
-        for u in edges[c]:
-            indegree[u] += 1
-    queue = [c for c in order if indegree[c] == 0]
-    out = []
-    while queue:
-        c = queue.pop()
-        out.append(c)
-        for u in edges[c]:
-            indegree[u] -= 1
-            if indegree[u] == 0:
-                queue.append(u)
-    return out if len(out) == len(order) else None
-
-
-def _unique_length_to_nf(order: list, edges: dict) -> tuple[str, Optional[dict], str]:
-    """Per-state path length to normal form when it is unique.
-
-    Returns ("ok", {state: length or None}, "") where None marks states from
-    which no normal form is reachable, ("cycle", None, detail) when a cycle
-    lies on a normalizing path, or ("mismatch", None, detail) when two paths
-    from one state reach normal form with different lengths.
-    """
-    sinks = {c for c in order if not edges[c]}
+    sinks = {c for c in order if not edges(c)}
     reaching = set(sinks)
     changed = True
     while changed:
         changed = False
         for c in order:
-            if c not in reaching and any(u in reaching for u in edges[c]):
+            if c not in reaching and any(u in reaching for u in edges(c)):
                 reaching.add(c)
                 changed = True
-    sub_edges = {c: tuple(u for u in edges[c] if u in reaching) for c in reaching}
-    topo = _toposort(list(reaching), sub_edges)
+    sub_edges = {c: tuple(u for u in edges(c) if u in reaching) for c in reaching}
+    topo = _topological([c for c in order if c in reaching], sub_edges.__getitem__)
     if topo is None:
         return "cycle", None, "a cycle lies on a path to normal form"
-    lengths: dict[CanonicalTerm, int] = {}
+    lengths: dict[int, int] = {}
     for c in reversed(topo):  # successors first
         if c in sinks:
             lengths[c] = 0
@@ -279,27 +248,19 @@ def _unique_length_to_nf(order: list, edges: dict) -> tuple[str, Optional[dict],
         if len(candidate) > 1:
             return "mismatch", None, f"path lengths {sorted(candidate)} from one state"
         lengths[c] = candidate.pop()
-    full = {c: lengths.get(c) for c in order}
-    return "ok", full, ""
+    return "ok", lengths.get(order[0]), ""
 
 
-def _min_length_to_nf(order: list, edges: dict) -> dict:
-    """Shortest path length to any normal form per state (reverse BFS);
-    states that reach no normal form are absent."""
-    sinks = [c for c in order if not edges[c]]
-    preds: dict[CanonicalTerm, list] = {c: [] for c in order}
+def _shortest_to_nf(order: list, edges: Edges) -> Optional[int]:
+    """Fewest steps from order[0] to a normal form, None when none is
+    reachable; order is the breadth-first closure, so depths only grow."""
+    depth = {order[0]: 0}
     for c in order:
-        for u in edges[c]:
-            preds[u].append(c)
-    dist = {c: 0 for c in sinks}
-    queue = list(sinks)
-    while queue:
-        c = queue.pop(0)
-        for p in preds[c]:
-            if p not in dist:
-                dist[p] = dist[c] + 1
-                queue.append(p)
-    return dist
+        if not edges(c):
+            return depth[c]
+        for u in edges(c):
+            depth.setdefault(u, depth[c] + 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +309,12 @@ def law_anf_equal_length(
     normal form have the same length (diamond property consequence)."""
     report = LawReport("anf_equal_length", corpus_desc)
     for entry in corpus:
-        graph = _reduction_graph(entry.term, anf_successors, graph_cap)
-        if graph is None:
+        graph = StateGraph()
+        order = _closure(graph, entry.term, graph.anf, graph_cap)
+        if order is None:
             report.record_inconclusive()
             continue
-        status, _, detail = _unique_length_to_nf(*graph)
+        status, _, detail = _unique_length_to_nf(order, graph.anf)
         if status == "ok":
             report.record_pass()
         else:
@@ -400,11 +362,12 @@ def law_subcalculus_stability(
         if bad:
             report.record_failure(entry, bad)
             continue
-        graph = _reduction_graph(entry.term, beta_successors, graph_cap)
-        if graph is None:
+        graph = StateGraph()
+        order = _closure(graph, entry.term, graph.beta, graph_cap)
+        if order is None:
             report.record_inconclusive()
             continue
-        if _toposort(*graph) is None:
+        if _topological(order, graph.beta) is None:
             report.record_failure(entry, "reduction graph has a cycle (not SN)")
         else:
             report.record_pass()
@@ -425,13 +388,12 @@ def law_lambdaA_lo_optimal(
         if not count.finite:
             report.record_inconclusive()
             continue
-        graph = _reduction_graph(entry.term, beta_successors, graph_cap)
-        if graph is None:
+        graph = StateGraph()
+        order = _closure(graph, entry.term, graph.beta, graph_cap)
+        if order is None:
             report.record_inconclusive()
             continue
-        order, edges = graph
-        dist = _min_length_to_nf(order, edges)
-        shortest = dist.get(order[0])
+        shortest = _shortest_to_nf(order, graph.beta)
         if shortest is None:
             report.record_failure(entry, "no reduction sequence reaches normal form")
         elif count.steps > shortest:
@@ -452,21 +414,20 @@ def law_lambdaI_anf_optimal(
     derivation length is minimal among all reduction sequences."""
     report = LawReport("lambdaI_anf_optimal", corpus_desc)
     for entry in corpus:
-        anf_graph = _reduction_graph(entry.term, anf_successors, graph_cap)
-        full_graph = _reduction_graph(entry.term, beta_successors, graph_cap)
-        if anf_graph is None or full_graph is None:
+        graph = StateGraph()
+        anf_order = _closure(graph, entry.term, graph.anf, graph_cap)
+        full_order = _closure(graph, entry.term, graph.beta, graph_cap)
+        if anf_order is None or full_order is None:
             report.record_inconclusive()
             continue
-        status, lengths, detail = _unique_length_to_nf(*anf_graph)
+        status, anf_len, detail = _unique_length_to_nf(anf_order, graph.anf)
         if status != "ok":
             report.record_failure(entry, f"argument-normal lengths not unique: {detail}")
             continue
-        anf_len = lengths[anf_graph[0][0]]
         if anf_len is None:
             report.record_failure(entry, "argument-normal reduction reaches no normal form")
             continue
-        order, edges = full_graph
-        shortest = _min_length_to_nf(order, edges).get(order[0])
+        shortest = _shortest_to_nf(full_order, graph.beta)
         if shortest is None:
             report.record_failure(entry, "no reduction sequence reaches normal form")
         elif anf_len > shortest:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .pars import _TransitionCache
+from .pars import StateGraph
 from .strategies import StepCount, Strategy
 from .terms import CanonicalTerm, Term
 
@@ -70,85 +70,77 @@ class Estimate:
     confidence_halfwidth_95: float
 
 
-class _Sampler:
-    """Transition rows compiled into exact integer sampling tables.
+_UNCOMPILED = object()  # table slot of a class whose row is not compiled yet
 
-    A table is None for a normal form, ("dirac", target) when no draw is
-    needed, and ("draw", den, cums, targets) otherwise: a uniform draw in
-    range(den) selects the first index whose cumulative numerator exceeds it.
+
+class _Sampler:
+    """A strategy's rows on one StateGraph, compiled lazily into exact
+    integer sampling tables indexed by class id.
+
+    A table is None for a normal form, the successor id when no draw is
+    needed, and (den, cut, lo, ri) otherwise: a uniform draw below den
+    selects the LO-successor lo when it is below cut, else ri.
     """
 
-    def __init__(self, strategy: Strategy):
-        self._cache = _TransitionCache(strategy)
-        self._tables: dict[CanonicalTerm, Optional[tuple]] = {}
+    def __init__(self, t: Term, strategy: Strategy):
+        self.graph = StateGraph()
+        self.eps = strategy.eps
+        self.origin = self.graph.intern(t)
+        self.tables: list = [_UNCOMPILED] * len(self.graph.reps)
 
-    def add_root(self, t: Term) -> CanonicalTerm:
-        return self._cache.add_root(t)
-
-    def rep(self, c: CanonicalTerm) -> Term:
-        return self._cache.reps[c]
-
-    def table(self, c: CanonicalTerm) -> Optional[tuple]:
-        if c in self._tables:
-            return self._tables[c]
-        row = self._cache.row(c)
+    def _compile(self, i: int):
+        row = self.graph.row(i, self.eps)
         if row is None:
             table = None
         elif len(row) == 1:
-            table = ("dirac", row[0][0])
+            table = row[0][0]
         else:
-            den = 1
-            for _, p in row:
-                den = math.lcm(den, p.denominator)
-            cums, targets, acc = [], [], 0
-            for target, p in row:
-                acc += p.numerator * (den // p.denominator)
-                cums.append(acc)
-                targets.append(target)
-            assert acc == den, "strategy masses must sum to 1"
-            table = ("draw", den, cums, targets)
-        self._tables[c] = table
+            (lo, p), (ri, _) = row
+            table = (p.denominator, p.numerator, lo, ri)
+        self.tables[i] = table
+        self.tables += [_UNCOMPILED] * (len(self.graph.reps) - len(self.tables))
         return table
 
-    def run(
-        self, origin: CanonicalTerm, seed: int, max_steps: int
-    ) -> tuple[Optional[int], Optional[CanonicalTerm]]:
-        """(steps, final class), or (None, None) when cut off."""
+    def path(self, seed: int, max_steps: int) -> list[int]:
+        """Class ids one seeded run visits, origin first; the run stops at a
+        normal form or after max_steps steps."""
         rng = SplitMix64(seed)
-        state = origin
-        for n in range(max_steps + 1):
-            table = self.table(state)
+        tables = self.tables
+        state = self.origin
+        path = [state]
+        for _ in range(max_steps):
+            table = tables[state]
+            if table is _UNCOMPILED:
+                table = self._compile(state)
             if table is None:
-                return n, state
-            if n == max_steps:
-                return None, None
-            if table[0] == "dirac":
-                state = table[1]
+                break
+            if isinstance(table, int):
+                state = table
             else:
-                _, den, cums, targets = table
-                draw = rng.below(den)
-                for i, cum in enumerate(cums):
-                    if draw < cum:
-                        state = targets[i]
-                        break
-        return None, None
+                den, cut, lo, ri = table
+                state = lo if rng.below(den) < cut else ri
+            path.append(state)
+        return path
 
 
-def sample_run(
-    t: Term,
-    strategy: Strategy,
-    seed: int,
-    max_steps: int,
-    _sampler: Optional[_Sampler] = None,
-) -> RunResult:
+def sample_path(t: Term, strategy: Strategy, seed: int, max_steps: int) -> tuple[list, bool]:
+    """Representatives of the classes one seeded run visits, origin first,
+    and whether the run reached a normal form within max_steps steps."""
+    sampler = _Sampler(t, strategy)
+    path = sampler.path(seed, max_steps)
+    reps = sampler.graph.reps
+    return [reps[i] for i in path], sampler.graph.is_normal(path[-1])
+
+
+def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunResult:
     """One seeded trajectory of the strategy, cut off after max_steps."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    sampler = _sampler if _sampler is not None else _Sampler(strategy)
-    steps, final = sampler.run(sampler.add_root(t), seed, max_steps)
-    if steps is None:
+    sampler = _Sampler(t, strategy)
+    path = sampler.path(seed, max_steps)
+    if not sampler.graph.is_normal(path[-1]):
         return RunResult(StepCount.exhausted(max_steps), None, seed)
-    return RunResult(StepCount.reached(steps), final, seed)
+    return RunResult(StepCount.reached(len(path) - 1), sampler.graph.forms[path[-1]], seed)
 
 
 def estimate(
@@ -168,17 +160,15 @@ def estimate(
         raise ValueError("n must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    sampler = _Sampler(strategy)
-    origin = sampler.add_root(t)
-    run = sampler.run
+    sampler = _Sampler(t, strategy)
     finite_steps: list[int] = []
     cutoff_count = 0
     for i in range(n):
-        steps, _ = run(origin, base_seed + i, max_steps)
-        if steps is None:
-            cutoff_count += 1
+        path = sampler.path(base_seed + i, max_steps)
+        if sampler.graph.is_normal(path[-1]):
+            finite_steps.append(len(path) - 1)
         else:
-            finite_steps.append(steps)
+            cutoff_count += 1
     m = len(finite_steps)
     if m == 0:
         return Estimate(n, cutoff_count, 0.0, 0.0, 0.0)

@@ -1,15 +1,20 @@
-"""Probabilistic reduction semantics over exact rationals.
+"""Probabilistic reduction semantics over exact rationals, on one state graph.
 
-Two complementary views of a term under a probabilistic strategy:
+A StateGraph interns alpha-classes to int ids, keeps the first term found
+for each as its representative, and computes each class's LO- and
+RI-successors once; the eps-mixture's row from a class reweights those two.
+Each call below builds one graph and runs every eps it needs over it:
 
 * configuration evolution — a partial distribution over alpha-classes is
   pushed one step at a time; normal forms absorb, so their mass leaves the
   configuration and |rho_k| is the probability that a run takes k steps or
-  more;
-* the reachable-state chain — breadth-first closure of the start term under
-  the strategy's supports, with every normal form collapsed into a single
+  more (evolve is the graph-free reference for evolve_trace);
+* the reachable-state chain — breadth-first closure of the start class
+  under the strategy's rows, with every normal form collapsed into a single
   absorbing class ``trm``, solved exactly for the absorption probability
-  and the expected absorption time.
+  and the expected absorption time;
+* the seeded samplers of montecarlo, and the law suite's reduction graphs
+  under all one-step reducts or all argument-normal reducts.
 
 Everything is computed in exact rational arithmetic; the linear systems are
 solved by Gaussian elimination over Fractions, which is exact, so results
@@ -21,9 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
-from .strategies import Strategy, n_steps
+from .strategies import (
+    Strategy,
+    anf_successors,
+    beta_successors,
+    lo_ri_reducts,
+    n_steps,
+)
 from .terms import CanonicalTerm, Term, canonicalize, is_normal_form, render
 
 TRM = "trm"  # the single absorbing class all normal forms collapse into
@@ -43,6 +54,123 @@ class SingularSystem(RuntimeError):
 
 
 DEFAULT_STATE_CAP = 100_000
+
+
+# ---------------------------------------------------------------------------
+# the state graph
+
+
+_ONE = Fraction(1)
+_UNEXPANDED = object()  # reduct slot of a reducible class not expanded yet
+
+
+class StateGraph:
+    """Alpha-classes interned to int ids in discovery order.
+
+    forms[i] is the canonical form of class i and reps[i] the first term
+    interned for it.  A class's LO- and RI-reducts come from one redex
+    listing the first time either is asked for, and each is interned when
+    first used, so a chain at eps = 0 or 1 discovers only the classes it
+    reaches.  All-beta and argument-normal successor ids, which the laws
+    need, are computed on demand too.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[CanonicalTerm, int] = {}
+        self.forms: list[CanonicalTerm] = []
+        self.reps: list[Term] = []
+        # per class: None if normal, _UNEXPANDED, or [lo, ri] as ids or terms
+        self._reducts: list = []
+        self._beta: dict[int, tuple] = {}
+        self._anf: dict[int, tuple] = {}
+
+    def intern(self, t: Term) -> int:
+        """The id of t's class; a new class gets the next id and t as its
+        representative."""
+        c = canonicalize(t)
+        i = self.ids.get(c)
+        if i is None:
+            i = self.ids[c] = len(self.forms)
+            self.forms.append(c)
+            self.reps.append(t)
+            self._reducts.append(None if is_normal_form(t) else _UNEXPANDED)
+        return i
+
+    def is_normal(self, i: int) -> bool:
+        return self._reducts[i] is None
+
+    def _successor(self, i: int, side: int) -> int:
+        """Id of the LO- (side 0) or RI-successor (side 1) of reducible class i."""
+        reducts = self._reducts[i]
+        if reducts is _UNEXPANDED:
+            lo, ri = lo_ri_reducts(self.reps[i])
+            # a single redex: both sides are one reduct, needed whatever eps
+            reducts = self._reducts[i] = [self.intern(lo)] * 2 if ri is lo else [lo, ri]
+        target = reducts[side]
+        if not isinstance(target, int):
+            target = reducts[side] = self.intern(target)
+        return target
+
+    def lo_ri(self, i: int) -> Optional[tuple[int, int]]:
+        """LO- and RI-successor ids of class i, equal when it has a single
+        redex; None iff the class is a normal form."""
+        if self.is_normal(i):
+            return None
+        return self._successor(i, 0), self._successor(i, 1)
+
+    def row(self, i: int, eps: Fraction) -> Optional[tuple]:
+        """((successor id, probability), ...) of the eps-mixture from class
+        i: (LO, eps) then (RI, 1 - eps), zero weights dropped and equal
+        targets merged.  None iff the class is a normal form."""
+        if self.is_normal(i):
+            return None
+        if eps == 0:
+            return ((self._successor(i, 1), _ONE),)
+        lo = self._successor(i, 0)
+        if eps == 1:
+            return ((lo, _ONE),)
+        ri = self._successor(i, 1)
+        if lo == ri:
+            return ((lo, _ONE),)
+        return ((lo, eps), (ri, 1 - eps))
+
+    def chain_row(self, i: int, eps: Fraction) -> tuple:
+        """row(i, eps) of a reducible class with every normal-form target
+        collapsed into TRM."""
+        out: dict = {}
+        for j, p in self.row(i, eps):
+            key = TRM if self.is_normal(j) else j
+            out[key] = out.get(key, 0) + p
+        return tuple(out.items())
+
+    def beta(self, i: int) -> tuple:
+        """Ids of all one-step reducts of class i, in redex order."""
+        if i not in self._beta:
+            self._beta[i] = tuple(map(self.intern, beta_successors(self.reps[i])))
+        return self._beta[i]
+
+    def anf(self, i: int) -> tuple:
+        """Ids of the reducts of class i through argument-normal redexes."""
+        if i not in self._anf:
+            self._anf[i] = tuple(map(self.intern, anf_successors(self.reps[i])))
+        return self._anf[i]
+
+    def closure(
+        self, root: int, successors: Callable[[int], Iterable[int]], state_cap: int
+    ) -> list[int]:
+        """Ids reachable from root through successors, in breadth-first
+        discovery order.  Raises StateCapExceeded when more than state_cap
+        ids are discovered."""
+        order = [root]
+        seen = {root}
+        for i in order:  # order grows while it is walked
+            for j in successors(i):
+                if j not in seen:
+                    if len(order) >= state_cap:
+                        raise StateCapExceeded(len(order) + 1, state_cap)
+                    seen.add(j)
+                    order.append(j)
+        return order
 
 
 # ---------------------------------------------------------------------------
@@ -99,40 +227,6 @@ class EvolutionTrace:
         return self.masses[-1]
 
 
-class _TransitionCache:
-    """Lazily memoized successor rows of a strategy, keyed by alpha-class.
-
-    row(c) is None when the class is a normal form, otherwise a tuple of
-    (successor class, probability) pairs.  Successor classes are recorded
-    with a representative term so rows for them can be built later.
-    """
-
-    def __init__(self, strategy: Strategy):
-        self.strategy = strategy
-        self.reps: dict[CanonicalTerm, Term] = {}
-        self._rows: dict[CanonicalTerm, Optional[tuple]] = {}
-
-    def add_root(self, t: Term) -> CanonicalTerm:
-        c = canonicalize(t)
-        self.reps.setdefault(c, t)
-        return c
-
-    def row(self, c: CanonicalTerm) -> Optional[tuple]:
-        if c in self._rows:
-            return self._rows[c]
-        dist = self.strategy.distribution(self.reps[c])
-        if dist is None:
-            row = None
-        else:
-            entries = []
-            for c2, p in dist.items():
-                self.reps.setdefault(c2, dist.rep(c2))
-                entries.append((c2, p))
-            row = tuple(entries)
-        self._rows[c] = row
-        return row
-
-
 def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     """Masses of the Dirac-started evolution, recorded up to the horizon.
 
@@ -142,25 +236,26 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    cache = _TransitionCache(strategy)
-    origin = cache.add_root(t)
-    current: dict[CanonicalTerm, int] = {origin: 1}
+    graph = StateGraph()
+    rows: dict[int, Optional[tuple]] = {}  # graph rows of the classes seen so far
+    current: dict[int, int] = {graph.intern(t): 1}
     denominator = 1
     masses = [Fraction(1)]
     for _ in range(horizon):
-        rows = {c: cache.row(c) for c in current}
         step_den = 1
-        for row in rows.values():
-            if row:
-                step_den = lcm(step_den, *(p.denominator for _, p in row))
-        nxt: dict[CanonicalTerm, int] = {}
-        for c, m in current.items():
-            row = rows[c]
+        for i in current:
+            if i not in rows:
+                rows[i] = graph.row(i, strategy.eps)
+            if rows[i]:
+                step_den = lcm(step_den, *(p.denominator for _, p in rows[i]))
+        nxt: dict[int, int] = {}
+        for i, m in current.items():
+            row = rows[i]
             if row is None:
                 continue
-            for c2, p in row:
+            for j, p in row:
                 weight = p.numerator * (step_den // p.denominator)
-                nxt[c2] = nxt.get(c2, 0) + m * weight
+                nxt[j] = nxt.get(j, 0) + m * weight
         denominator *= step_den
         current = nxt
         masses.append(Fraction(sum(current.values()), denominator))
@@ -263,32 +358,28 @@ def explore_states(
     """
     if state_cap < 1:
         raise ValueError("state_cap must be >= 1")
-    origin = canonicalize(t)
-    if is_normal_form(t):
+    graph = StateGraph()
+    root = graph.intern(t)
+    forms = graph.forms
+    origin = forms[root]
+    if graph.is_normal(root):
         return ChainAnalysis(origin, t, strategy.name, (), {origin: t}, {})
-    states: list[CanonicalTerm] = [origin]
-    reps: dict[CanonicalTerm, Term] = {origin: t}
-    rows: dict[CanonicalTerm, tuple] = {}
-    frontier = 0
-    while frontier < len(states):
-        c = states[frontier]
-        frontier += 1
-        dist = strategy.distribution(reps[c])
-        assert dist is not None  # only non-normal states are enqueued
-        row: dict = {}
-        for c2, p in dist.items():
-            rep2 = dist.rep(c2)
-            if is_normal_form(rep2):
-                row[TRM] = row.get(TRM, Fraction(0)) + p
-            else:
-                if c2 not in reps:
-                    if len(states) >= state_cap:
-                        raise StateCapExceeded(len(states) + 1, state_cap)
-                    reps[c2] = rep2
-                    states.append(c2)
-                row[c2] = row.get(c2, Fraction(0)) + p
-        rows[c] = tuple(row.items())
-    return ChainAnalysis(origin, t, strategy.name, tuple(states), reps, rows)
+    rows: dict[int, tuple] = {}
+
+    def successors(i: int) -> list:
+        rows[i] = row = graph.chain_row(i, strategy.eps)
+        return [j for j, _ in row if j != TRM]
+
+    order = graph.closure(root, successors, state_cap)
+    return ChainAnalysis(
+        origin,
+        t,
+        strategy.name,
+        tuple(forms[i] for i in order),
+        {forms[i]: graph.reps[i] for i in order},
+        {forms[i]: tuple((j if j == TRM else forms[j], p) for j, p in rows[i])
+         for i in order},
+    )
 
 
 def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -473,55 +564,23 @@ def grid_expected_lengths(
     """(termination probability, expected length) of the LO/RI mixture for
     every eps in the grid.
 
-    The LO/RI successor skeleton is explored once and reweighted per eps;
-    the values agree exactly with analyze(t, Strategy.peps(eps)) for each
-    grid point (extra states reachable only under other eps values cannot
-    influence the origin's hitting quantities).
+    The classes reachable through LO or RI steps are explored once and
+    their rows reweighted per eps; the values agree exactly with
+    analyze(t, Strategy.peps(eps)) for each grid point (extra states
+    reachable only under other eps values cannot influence the origin's
+    hitting quantities).
     """
-    from .strategies import step_lo, step_ri
-
-    origin = canonicalize(t)
-    if is_normal_form(t):
+    graph = StateGraph()
+    root = graph.intern(t)
+    if graph.is_normal(root):
         return {Fraction(e): (Fraction(1), Fraction(0)) for e in grid}
-    states: list[CanonicalTerm] = [origin]
-    reps: dict[CanonicalTerm, Term] = {origin: t}
-    succ: dict[CanonicalTerm, tuple] = {}  # c -> ((lo_target, ri_target))
-    frontier = 0
-    while frontier < len(states):
-        c = states[frontier]
-        frontier += 1
-        rep = reps[c]
-        targets = []
-        lo = step_lo(rep)
-        ri = step_ri(rep)
-        assert lo is not None and ri is not None
-        for u in (lo, ri):
-            if is_normal_form(u):
-                targets.append(TRM)
-            else:
-                cu = canonicalize(u)
-                if cu not in reps:
-                    if len(states) >= state_cap:
-                        raise StateCapExceeded(len(states) + 1, state_cap)
-                    reps[cu] = u
-                    states.append(cu)
-                targets.append(cu)
-        succ[c] = tuple(targets)
-
-    out = {}
-    for e in grid:
-        eps = Fraction(e)
-        rows = {}
-        for c in states:
-            lo_t, ri_t = succ[c]
-            row: dict = {}
-            if eps > 0:
-                row[lo_t] = row.get(lo_t, Fraction(0)) + eps
-            if eps < 1:
-                row[ri_t] = row.get(ri_t, Fraction(0)) + (1 - eps)
-            rows[c] = tuple(row.items())
-        out[eps] = _solve_rows(tuple(states), rows, origin)
-    return out
+    states = tuple(graph.closure(
+        root, lambda i: [j for j in graph.lo_ri(i) if not graph.is_normal(j)], state_cap
+    ))
+    return {
+        eps: _solve_rows(states, {i: graph.chain_row(i, eps) for i in states}, root)
+        for eps in map(Fraction, grid)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -138,32 +138,40 @@ def step_ri(t: Term) -> Optional[Term]:
     return reduce_at(t, paths[-1])
 
 
-def beta_successors(t: Term) -> list[Term]:
-    """All one-step beta-reducts, deduplicated up to alpha, redex order."""
+def lo_ri_reducts(t: Term) -> Optional[tuple[Term, Term]]:
+    """The LO- and RI-reducts of t from one redex listing; None iff t is
+    normal.  With a single redex both are the same term object."""
+    paths = redexes(t)
+    if not paths:
+        return None
+    lo_reduct = reduce_at(t, paths[0])
+    if len(paths) == 1:
+        return lo_reduct, lo_reduct
+    return lo_reduct, reduce_at(t, paths[-1])
+
+
+def _alpha_distinct(reducts) -> list[Term]:
+    """The first term of each alpha-class, in order."""
     seen: set[CanonicalTerm] = set()
     out: list[Term] = []
-    for p in redexes(t):
-        u = reduce_at(t, p)
+    for u in reducts:
         c = canonicalize(u)
         if c not in seen:
             seen.add(c)
             out.append(u)
     return out
+
+
+def beta_successors(t: Term) -> list[Term]:
+    """All one-step beta-reducts, deduplicated up to alpha, redex order."""
+    return _alpha_distinct(reduce_at(t, p) for p in redexes(t))
 
 
 def anf_successors(t: Term) -> list[Term]:
     """One-step reducts through redexes whose argument is in normal form."""
-    seen: set[CanonicalTerm] = set()
-    out: list[Term] = []
-    for p in redexes(t):
-        if not is_normal_form(subterm_at(t, p).arg):
-            continue
-        u = reduce_at(t, p)
-        c = canonicalize(u)
-        if c not in seen:
-            seen.add(c)
-            out.append(u)
-    return out
+    return _alpha_distinct(
+        reduce_at(t, p) for p in redexes(t) if is_normal_form(subterm_at(t, p).arg)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,40 +188,40 @@ def p_eps(t: Term, eps) -> Optional[Distribution]:
     eps = Fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0,1], got {eps}")
-    paths = redexes(t)
-    if not paths:
+    reducts = lo_ri_reducts(t)
+    if reducts is None:
         return None
-    lo_reduct = reduce_at(t, paths[0])
-    if len(paths) == 1:
+    lo_reduct, ri_reduct = reducts
+    if ri_reduct is lo_reduct:
         return Distribution([(lo_reduct, Fraction(1))])
-    ri_reduct = reduce_at(t, paths[-1])
     return Distribution([(lo_reduct, eps), (ri_reduct, 1 - eps)])
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named rule mapping each reducible term to a reduct distribution.
+    """The eps-mixture of LO and RI under a display name.
 
-    kind is one of "lo", "ri", "peps"; eps is only meaningful for "peps".
+    LO is the mixture at eps = 1 and RI the one at eps = 0; the name is
+    all that tells them apart from peps:1/1 and peps:0/1.
     """
 
-    kind: str
-    eps: Optional[Fraction] = None
+    eps: Fraction
+    name: str
 
     @staticmethod
     def lo() -> "Strategy":
-        return Strategy("lo")
+        return Strategy(Fraction(1), "lo")
 
     @staticmethod
     def ri() -> "Strategy":
-        return Strategy("ri")
+        return Strategy(Fraction(0), "ri")
 
     @staticmethod
     def peps(eps) -> "Strategy":
         eps = Fraction(eps)
         if not 0 <= eps <= 1:
             raise ValueError(f"eps must lie in [0,1], got {eps}")
-        return Strategy("peps", eps)
+        return Strategy(eps, f"peps:{eps.numerator}/{eps.denominator}")
 
     @staticmethod
     def parse(text: str) -> "Strategy":
@@ -226,21 +234,7 @@ class Strategy:
             return Strategy.peps(parse_probability(text[len("peps:"):]))
         raise ValueError(f"unknown strategy {text!r} (want lo, ri or peps:<num>/<den>)")
 
-    @property
-    def name(self) -> str:
-        if self.kind == "peps":
-            assert self.eps is not None
-            return f"peps:{self.eps.numerator}/{self.eps.denominator}"
-        return self.kind
-
     def distribution(self, t: Term) -> Optional[Distribution]:
-        if self.kind == "lo":
-            u = step_lo(t)
-            return None if u is None else Distribution([(u, Fraction(1))])
-        if self.kind == "ri":
-            u = step_ri(t)
-            return None if u is None else Distribution([(u, Fraction(1))])
-        assert self.eps is not None
         return p_eps(t, self.eps)
 
 
@@ -248,12 +242,13 @@ class Strategy:
 # derivation-length counters
 
 
-_STEPPERS: dict[str, Callable[[Term], Optional[Term]]] = {"lo": step_lo, "ri": step_ri}
+# the deterministic strategies by name, stepping concrete terms
+STEPPERS: dict[str, Callable[[Term], Optional[Term]]] = {"lo": step_lo, "ri": step_ri}
 
 
 def n_steps(t: Term, strategy: str, fuel: int = DEFAULT_FUEL) -> StepCount:
     """Steps to normal form under a deterministic strategy, fuel-bounded."""
-    stepper = _STEPPERS[strategy]
+    stepper = STEPPERS[strategy]
     current = t
     for n in range(fuel + 1):
         nxt = stepper(current)

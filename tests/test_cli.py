@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lambdalab
 from lambdalab.cli import (
     CSV_HEADER,
     EXIT_INCONCLUSIVE,
@@ -71,6 +76,33 @@ def test_reduce_fuel_exhaustion_is_inconclusive(capsys):
     code, out = run_cli(capsys, "reduce", "Omega", "--fuel", "25")
     assert code == EXIT_INCONCLUSIVE
     assert "fuel exhausted after 25 steps" in out
+
+
+SELF_APPLICATION = "(\\x.x x)(\\y.y y)"
+
+
+def test_reduce_lo_prints_actual_reducts(capsys):
+    code, out = run_cli(capsys, "reduce", SELF_APPLICATION, "--fuel", "2", "--strategy", "lo")
+    assert code == EXIT_INCONCLUSIVE
+    assert out.splitlines() == [
+        "(\\x.x x) (\\y.y y)",
+        "-> (\\y.y y) (\\y.y y)",
+        "-> (\\y.y y) (\\y.y y)",
+        "fuel exhausted after 2 steps",
+    ]
+
+
+def test_reduce_peps_prints_class_representatives(capsys):
+    code, out = run_cli(
+        capsys, "reduce", SELF_APPLICATION, "--fuel", "2", "--strategy", "peps:1/1"
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out.splitlines() == [
+        "(\\x.x x) (\\y.y y)",
+        "-> (\\x.x x) (\\y.y y)",
+        "-> (\\x.x x) (\\y.y y)",
+        "fuel exhausted after 2 steps",
+    ]
 
 
 def test_reduce_peps_seeded_trace_deterministic(capsys):
@@ -238,3 +270,66 @@ def test_bad_strategy_exits_3(capsys):
 def test_bad_grid_exits_3(capsys):
     code = main(["sweep", "I", "--grid", "0.25,0.5"])
     assert code == EXIT_USAGE
+
+
+def _assert_one_line_usage_error(code, capsys):
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("lambdalab: error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_reduce_negative_fuel_exits_3(capsys):
+    _assert_one_line_usage_error(main(["reduce", "Omega", "--fuel", "-3"]), capsys)
+
+
+def test_sweep_negative_fuel_exits_3(capsys):
+    _assert_one_line_usage_error(main(["sweep", "Omega", "--fuel", "-1"]), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "example2"),
+        ("reduce", "Omega", "--fuel", "3"),
+        ("analyze", "example1", "--eps", "1/2", "--format", "json"),
+        ("analyze", "Mn:3", "--eps", "1/2", "--state-cap", "2"),
+        ("sweep", "example1", "--format", "csv"),
+        ("montecarlo", "I", "--eps", "1/2", "--samples", "5"),
+        ("laws", "--suite", "lo_monotone", "--count", "5", "--format", "json"),
+    ],
+    ids=["reduce", "reduce-inconclusive", "analyze-json", "analyze-inconclusive",
+         "sweep-csv", "montecarlo-text", "laws-json"],
+)
+def test_unwritable_out_exits_3(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    _assert_one_line_usage_error(main([*argv, "--out", str(target)]), capsys)
+
+
+# ---------------------------------------------------------------------------
+# independence from Python's string hashing
+
+
+HASH_SEED_COMMANDS = (
+    ("analyze", "Mn:6", "--eps", "1/3", "--format", "json"),
+    ("montecarlo", "Mn:6", "--eps", "3/7", "--seed", "5", "--samples", "200",
+     "--format", "json"),
+    ("laws", "--suite", "anf_equal_length", "--format", "json"),
+    ("reduce", "example2", "--strategy", "peps:1/2", "--seed", "4"),
+)
+
+
+@pytest.mark.parametrize("argv", HASH_SEED_COMMANDS, ids=lambda argv: argv[0])
+def test_output_independent_of_hash_seed(argv):
+    src = str(Path(lambdalab.__file__).resolve().parents[1])
+    results = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lambdalab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        results.append((proc.returncode, proc.stdout))
+    assert results[0][1]
+    assert results[0] == results[1]

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from lambdalab.montecarlo import sample_run
 from lambdalab.pars import (
     TRM,
     Configuration,
@@ -259,6 +261,27 @@ def test_grid_matches_per_eps_analysis():
         for eps in grid:
             chain = analyze(t, Strategy.peps(eps))
             assert solved[eps] == (chain.termination_prob, chain.expected_length)
+
+
+def _analysis_or_cap(t, strategy):
+    """The solved chain without its strategy name, or the cap overrun."""
+    try:
+        return replace(analyze(t, strategy, state_cap=200), strategy_name="")
+    except StateCapExceeded as exc:
+        return exc.discovered
+
+
+@given(terms)
+@settings(max_examples=60, deadline=None)
+def test_lo_and_ri_are_the_mixture_endpoints(t):
+    for named, mixture in (
+        (Strategy.lo(), Strategy.peps(1)),
+        (Strategy.ri(), Strategy.peps(0)),
+    ):
+        assert _analysis_or_cap(t, named) == _analysis_or_cap(t, mixture)
+        assert evolve_trace(t, named, 8) == evolve_trace(t, mixture, 8)
+        for seed in (0, 7):
+            assert sample_run(t, named, seed, 40) == sample_run(t, mixture, seed, 40)
 
 
 def test_solve_rows_partial_absorption_synthetic():
