@@ -408,6 +408,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"lambdalab: error: {exc}\n")
         return EXIT_USAGE
+    except RecursionError:  # the term traversals recurse on nesting depth
+        sys.stderr.write("lambdalab: error: term nested too deeply to traverse\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .pars import StateCapExceeded, StateGraph, _toposort_rows, grid_expected_lengths
+from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, sccs
 from .strategies import beta_successors, n_steps
 from .terms import (
     SubCalculus,
@@ -212,10 +212,20 @@ def _closure(graph: StateGraph, t: Term, edges: Edges, state_cap: int) -> Option
         return None
 
 
-def _topological(order: list, edges: Edges) -> Optional[list]:
-    """Topological order of the graph on order, or None if it has a cycle;
-    the chain solver's sort, given the edges as rows without weights."""
-    return _toposort_rows(order, {c: [(u, None) for u in edges(c)] for c in order})
+def _adjacency(order: list, edges: Edges) -> list[list[int]]:
+    """The graph on order with each id replaced by its position in order."""
+    position = {c: i for i, c in enumerate(order)}
+    return [[position[u] for u in edges(c)] for c in order]
+
+
+def _acyclic(order: list, edges: Edges) -> bool:
+    """Whether the graph on order has no cycle: every strongly connected
+    component is a single state without a self-loop."""
+    successors = _adjacency(order, edges)
+    return all(
+        len(component) == 1 and component[0] not in successors[component[0]]
+        for component in sccs(successors)
+    )
 
 
 def _unique_length_to_nf(order: list, edges: Edges) -> tuple[str, Optional[int], str]:
@@ -224,31 +234,25 @@ def _unique_length_to_nf(order: list, edges: Edges) -> tuple[str, Optional[int],
     Returns ("ok", length, "") with length None when no normal form is
     reachable, ("cycle", None, detail) when a cycle lies on a normalizing
     path, or ("mismatch", None, detail) when two paths from one state reach
-    normal form with different lengths.
+    normal form with different lengths.  A cycle is reported ahead of a
+    mismatch.
     """
-    sinks = {c for c in order if not edges(c)}
-    reaching = set(sinks)
-    changed = True
-    while changed:
-        changed = False
-        for c in order:
-            if c not in reaching and any(u in reaching for u in edges(c)):
-                reaching.add(c)
-                changed = True
-    sub_edges = {c: tuple(u for u in edges(c) if u in reaching) for c in reaching}
-    topo = _topological([c for c in order if c in reaching], sub_edges.__getitem__)
-    if topo is None:
-        return "cycle", None, "a cycle lies on a path to normal form"
-    lengths: dict[int, int] = {}
-    for c in reversed(topo):  # successors first
-        if c in sinks:
-            lengths[c] = 0
-            continue
-        candidate = {1 + lengths[u] for u in sub_edges[c]}
-        if len(candidate) > 1:
-            return "mismatch", None, f"path lengths {sorted(candidate)} from one state"
-        lengths[c] = candidate.pop()
-    return "ok", lengths.get(order[0]), ""
+    successors = _adjacency(order, edges)
+    lengths: dict[int, int] = {}  # states that reach a normal form
+    mismatch = None
+    for component in sccs(successors):  # successors first
+        v = component[0]
+        reach = {1 + lengths[u] for w in component for u in successors[w] if u in lengths}
+        if successors[v] and not reach:
+            continue  # no normal form is reachable from here
+        if len(component) > 1 or v in successors[v]:
+            return "cycle", None, "a cycle lies on a path to normal form"
+        if len(reach) > 1 and mismatch is None:
+            mismatch = f"path lengths {sorted(reach)} from one state"
+        lengths[v] = min(reach, default=0)
+    if mismatch is not None:
+        return "mismatch", None, mismatch
+    return "ok", lengths.get(0), ""
 
 
 def _shortest_to_nf(order: list, edges: Edges) -> Optional[int]:
@@ -367,7 +371,7 @@ def law_subcalculus_stability(
         if order is None:
             report.record_inconclusive()
             continue
-        if _topological(order, graph.beta) is None:
+        if not _acyclic(order, graph.beta):
             report.record_failure(entry, "reduction graph has a cycle (not SN)")
         else:
             report.record_pass()

@@ -16,9 +16,11 @@ Each call below builds one graph and runs every eps it needs over it:
 * the seeded samplers of montecarlo, and the law suite's reduction graphs
   under all one-step reducts or all argument-normal reducts.
 
-Everything is computed in exact rational arithmetic; the linear systems are
-solved by Gaussian elimination over Fractions, which is exact, so results
-can be compared with closed formulas for equality rather than tolerance.
+Everything is computed in exact rational arithmetic.  The chain is solved
+component by component: its strongly connected components are taken sinks
+first, and each is one small linear system eliminated over Fractions, so
+results can be compared with closed formulas for equality rather than
+tolerance.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ DEFAULT_STATE_CAP = 100_000
 # the state graph
 
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _UNEXPANDED = object()  # reduct slot of a reducible class not expanded yet
 
@@ -382,125 +385,108 @@ def explore_states(
     )
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination; raises SingularSystem on a zero pivot."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+def sccs(successors: list) -> list[list[int]]:
+    """Strongly connected components of the graph on 0 .. n-1 whose edges
+    run from i to each id in successors[i], by Tarjan's algorithm (Tarjan
+    1972) on an explicit work stack.  Every component comes after each
+    component it has an edge into, so sinks come first."""
+    n = len(successors)
+    index = [-1] * n  # discovery number; -1 before it, n once in a component
+    low = [0] * n
+    edges = [iter(out) for out in successors]
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        work = [root] if index[root] < 0 else []
+        while work:
+            v = work[-1]
+            if index[v] < 0:  # first visit
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+            for w in edges[v]:
+                if index[w] < 0:
+                    work.append(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:  # every edge of v is done
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = n
+                    components.append(component)
+    return components
+
+
+def _solve_linear(matrix: list[list], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact Gauss-Jordan elimination of matrix x = rhs; raises
+    SingularSystem on a zero pivot."""
+    n = len(matrix)
+    a = [row + [b] for row, b in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise SingularSystem(f"no pivot in column {col}")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / a[col][col]
-            for k in range(col, n + 1):
-                a[r][k] -= factor * a[col][k]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n]
-        for k in range(r + 1, n):
-            acc -= a[r][k] * x[k]
-        x[r] = acc / a[r][r]
-    return x
-
-
-def _toposort_rows(states: tuple, rows: dict) -> Optional[list]:
-    """States in topological order of the non-absorbing edges, or None when
-    the transition graph has a cycle."""
-    indegree = {c: 0 for c in states}
-    for c in states:
-        for target, _ in rows[c]:
-            if target != TRM:
-                indegree[target] += 1
-    queue = [c for c in states if indegree[c] == 0]
-    out = []
-    while queue:
-        c = queue.pop()
-        out.append(c)
-        for target, _ in rows[c]:
-            if target != TRM:
-                indegree[target] -= 1
-                if indegree[target] == 0:
-                    queue.append(target)
-    return out if len(out) == len(states) else None
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        if top[col] != 1:
+            top = a[col] = [x / top[col] for x in top]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], top)]
+    return [row[n] for row in a]
 
 
 def _solve_rows(
     states: tuple, rows: dict, origin: CanonicalTerm
 ) -> tuple[Fraction, Optional[Fraction]]:
     """Absorption probability at TRM from origin and, when it is 1, the
-    exact expected absorption time (None otherwise)."""
+    exact expected absorption time (None otherwise).
+
+    Strongly connected components are solved sinks first.  On one, the
+    absorption probability is 0 if it is 0 wherever an edge leaves the
+    component (or none leaves), 1 if it is 1 there, and below 1 throughout
+    otherwise; one exact system, fed by the values solved downstream, then
+    gives the expected time in the second case, the probability in the third.
+    """
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal
-
-    # Acyclic chains (every strongly normalizing start term) solve by plain
-    # back-substitution: each maximal path ends in TRM, so absorption is
-    # sure and the expected time is 1 + the mean over successors.
-    topo = _toposort_rows(states, rows)
-    if topo is not None:
-        expected: dict[CanonicalTerm, Fraction] = {}
-        for c in reversed(topo):
-            acc = Fraction(1)
-            for target, p in rows[c]:
-                if target != TRM:
-                    acc += p * expected[target]
-            expected[c] = acc
-        return Fraction(1), expected[origin]
-
-    # states that can reach TRM at all (fixpoint over the row graph)
-    can_reach: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in states:
-            if c in can_reach:
-                continue
-            for target, _ in rows[c]:
-                if target == TRM or target in can_reach:
-                    can_reach.add(c)
-                    changed = True
-                    break
-    if origin not in can_reach:
-        return Fraction(0), None
-
-    # absorption probabilities on the can-reach set; everything else is 0
-    order = [c for c in states if c in can_reach]
-    pos = {c: i for i, c in enumerate(order)}
-    n = len(order)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for i, c in enumerate(order):
-        matrix[i][i] = Fraction(1)
-        for target, p in rows[c]:
-            if target == TRM:
-                rhs[i] += p
-            elif target in pos:
-                matrix[i][pos[target]] -= p
-    h = _solve_linear(matrix, rhs)
-    termination = h[pos[origin]]
-    if termination != 1:
-        return termination, None
-
-    # expected absorption time on the sure-absorption subsystem; from a
-    # state with absorption probability 1 every successor has it too
-    sure = [c for i, c in enumerate(order) if h[i] == 1]
-    spos = {c: i for i, c in enumerate(sure)}
-    m = len(sure)
-    matrix2 = [[Fraction(0)] * m for _ in range(m)]
-    rhs2 = [Fraction(1)] * m
-    for i, c in enumerate(sure):
-        matrix2[i][i] = Fraction(1)
-        for target, p in rows[c]:
-            if target == TRM:
-                continue
-            if target not in spos:
-                raise SingularSystem("sure-absorption subsystem is not closed")
-            matrix2[i][spos[target]] -= p
-    k = _solve_linear(matrix2, rhs2)
-    return termination, k[spos[origin]]
+    n = len(states)
+    index = {c: i for i, c in enumerate(states)}
+    index[TRM] = n  # solved in advance: absorbed with probability 1 in 0 steps
+    edges = [[(index[target], p) for target, p in rows[c]] for c in states]
+    h = [None] * n + [_ONE]  # absorption probability
+    k = [None] * n + [_ZERO]  # expected absorption time where h == 1
+    for component in sccs([[j for j, _ in out if j < n] for out in edges]):
+        pos = {i: r for r, i in enumerate(component)}
+        exits = {h[j] for i in component for j, _ in edges[i] if j not in pos}
+        if not any(exits):
+            for i in component:
+                h[i] = _ZERO
+            continue
+        sure = exits == {1}
+        downstream = k if sure else h
+        matrix = [[0] * len(component) for _ in component]
+        rhs = []
+        for r, i in enumerate(component):
+            matrix[r][r] = 1
+            b = _ONE if sure else _ZERO
+            for j, p in edges[i]:
+                if j in pos:
+                    matrix[r][pos[j]] -= p
+                else:
+                    b += p * downstream[j]
+            rhs.append(b)
+        for i, x in zip(component, _solve_linear(matrix, rhs)):
+            h[i], k[i] = (_ONE, x) if sure else (x, None)
+    return h[index[origin]], k[index[origin]]
 
 
 def solve_expected_length(chain: ChainAnalysis) -> ChainAnalysis:
@@ -570,6 +556,8 @@ def grid_expected_lengths(
     reachable only under other eps values cannot influence the origin's
     hitting quantities).
     """
+    if state_cap < 1:
+        raise ValueError("state_cap must be >= 1")
     graph = StateGraph()
     root = graph.intern(t)
     if graph.is_normal(root):

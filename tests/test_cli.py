@@ -288,6 +288,28 @@ def test_sweep_negative_fuel_exits_3(capsys):
     _assert_one_line_usage_error(main(["sweep", "Omega", "--fuel", "-1"]), capsys)
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_sweep_nonpositive_state_cap_exits_3(capsys, cap):
+    _assert_one_line_usage_error(main(["sweep", "Mn:3", "--state-cap", cap]), capsys)
+
+
+DEEP = 30_000
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["(" * DEEP + "x" + ")" * DEEP, " ".join(["x"] * DEEP), "\\x." * DEEP + "x"],
+    ids=["parentheses", "application-spine", "abstractions"],
+)
+def test_deeply_nested_term_exits_3(capsys, literal):
+    for argv in (["reduce", literal], ["analyze", literal, "--eps", "1/2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("lambdalab: error: term nested too deeply")
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

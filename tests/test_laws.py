@@ -7,6 +7,8 @@ from lambdalab.laws import (
     DEFAULT_GRID,
     GRID_WITH_ZERO,
     LawReport,
+    _acyclic,
+    _unique_length_to_nf,
     default_corpora,
     law_anf_equal_length,
     law_eps_minimum,
@@ -163,3 +165,44 @@ def test_report_serialization():
     payload = report.to_dict()
     assert payload["law"] == "demo" and payload["counterexamples"] == []
     assert "pass" in report.summary()
+
+
+# ---------------------------------------------------------------------------
+# graph helpers, on hand-built graphs: node -> successors, node 0 the start
+
+
+def _unique(graph):
+    return _unique_length_to_nf(list(graph), graph.__getitem__)
+
+
+def test_unique_length_ok_with_length():
+    assert _unique({0: (1, 3), 1: (2,), 3: (2,), 2: ()}) == ("ok", 2, "")
+    assert _unique({0: ()}) == ("ok", 0, "")
+
+
+def test_unique_length_ok_without_normal_form():
+    assert _unique({0: (1,), 1: (0, 1)}) == ("ok", None, "")
+
+
+def test_unique_length_cycle():
+    assert _unique({0: (1,), 1: (0, 2), 2: ()})[0] == "cycle"
+    assert _unique({0: (0, 1), 1: ()})[0] == "cycle"
+
+
+def test_unique_length_mismatch():
+    assert _unique({0: (1, 2), 1: (2,), 2: ()}) == (
+        "mismatch", None, "path lengths [1, 2] from one state"
+    )
+
+
+def test_unique_length_cycle_wins_over_mismatch():
+    # the mismatch at 3 lies downstream of the cycle 1 <-> 2 ...
+    assert _unique({0: (1, 3), 1: (2, 3), 2: (1,), 3: (4, 5), 4: (5,), 5: ()})[0] == "cycle"
+    # ... and here upstream of the cycle 2 <-> 3
+    assert _unique({0: (1, 2), 1: (2,), 2: (3,), 3: (2, 4), 4: ()})[0] == "cycle"
+
+
+def test_acyclic():
+    assert not _acyclic([0], {0: (0,)}.__getitem__)
+    assert not _acyclic([0, 1], {0: (1,), 1: (0,)}.__getitem__)
+    assert _acyclic([0, 1, 2], {0: (1, 2), 1: (2,), 2: ()}.__getitem__)

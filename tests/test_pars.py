@@ -1,14 +1,18 @@
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from lambdalab.laws import anchor_corpus
 from lambdalab.montecarlo import sample_run
 from lambdalab.pars import (
     TRM,
     Configuration,
     StateCapExceeded,
+    _solve_rows,
     analyze,
     chain_derivation_lengths,
     check_foster,
@@ -18,10 +22,12 @@ from lambdalab.pars import (
     expected_length_truncated,
     explore_states,
     grid_expected_lengths,
+    sccs,
     solve_expected_length,
 )
 from lambdalab.strategies import InvalidEpsilon, Strategy, n_steps
 from lambdalab.terms import (
+    SubCalculus,
     Var,
     canonicalize,
     mk_I,
@@ -34,6 +40,7 @@ from lambdalab.terms import (
 )
 
 from conftest import terms
+from dense_solver import solve_rows_dense
 
 I = mk_I()
 EX1 = mk_example1()
@@ -300,6 +307,109 @@ def test_solve_rows_partial_absorption_synthetic():
     # restricted to the absorbing-for-sure start, the expectation is exact
     termination, expected = _solve_rows((b,), {b: ((TRM, Fraction(1)),)}, b)
     assert termination == 1 and expected == 1
+
+
+# the dense solver the component-by-component one replaced is the oracle
+
+ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7))
+
+
+def _assert_matches_dense_oracle(t):
+    for eps in ORACLE_EPS:
+        try:
+            chain = explore_states(t, Strategy.peps(eps), state_cap=300)
+        except StateCapExceeded:
+            continue
+        args = (chain.states, chain.rows, chain.origin)
+        assert _solve_rows(*args) == solve_rows_dense(*args)
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from([SubCalculus.FULL, SubCalculus.LAMBDA_I, SubCalculus.LAMBDA_A]),
+)
+@settings(max_examples=100, deadline=None)
+def test_solver_matches_dense_oracle_on_random_terms(seed, tag):
+    _assert_matches_dense_oracle(random_term(seed, 40, tag))
+
+
+@pytest.mark.parametrize("entry", anchor_corpus(), ids=lambda e: e.term_id)
+def test_solver_matches_dense_oracle_on_anchor_terms(entry):
+    # Omega, example1 and Mn:k have self-loops and divergent endpoints
+    _assert_matches_dense_oracle(entry.term)
+
+
+@st.composite
+def _synthetic_specs(draw):
+    """Row i of a synthetic chain as {target: weight}, -1 standing for TRM."""
+    n = draw(st.integers(1, 7))
+    targets = st.integers(-1, n - 1)
+    return [
+        draw(st.dictionaries(targets, st.integers(1, 4), min_size=1, max_size=4))
+        for _ in range(n)
+    ]
+
+
+def _synthetic_chain(spec):
+    """States ("s", i) listed last to first, and their rows as Fractions."""
+    states = tuple(("s", i) for i in reversed(range(len(spec))))
+    rows = {}
+    for i, weights in enumerate(spec):
+        total = sum(weights.values())
+        rows[("s", i)] = tuple(
+            (TRM if j < 0 else ("s", j), Fraction(w, total)) for j, w in weights.items()
+        )
+    return states, rows
+
+
+@given(_synthetic_specs())
+@example([{1: 1, 2: 1}, {-1: 1}, {2: 1}])  # partial absorption into a closed loop
+@example([{1: 1}, {0: 1, 2: 1}, {-1: 2, 3: 1}, {3: 1, 4: 1}, {3: 1}])  # 2-state SCCs, one closed
+@example([{1: 1, 2: 1}, {0: 1}, {-1: 1, 2: 1}])  # a cycle leading to sure absorption
+@example([{0: 1}])  # a closed class on its own
+@settings(max_examples=300, deadline=None)
+def test_solver_matches_dense_oracle_on_synthetic_chains(spec):
+    states, rows = _synthetic_chain(spec)
+    for origin in states:
+        assert _solve_rows(states, rows, origin) == solve_rows_dense(states, rows, origin)
+
+
+# ---------------------------------------------------------------------------
+# strongly connected components
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)
+))
+@settings(max_examples=200)
+def test_sccs_partition_by_mutual_reachability_sinks_first(successors):
+    n = len(successors)
+    reach = [{i} for i in range(n)]
+    for _ in range(n):
+        for i in range(n):
+            for j in successors[i]:
+                reach[i] |= reach[j]
+    components = sccs(successors)
+    assert sorted(v for c in components for v in c) == list(range(n))
+    where = {v: k for k, c in enumerate(components) for v in c}
+    for i in range(n):
+        for j in range(n):
+            assert (where[i] == where[j]) == (j in reach[i] and i in reach[j])
+        for j in successors[i]:
+            assert where[j] <= where[i]  # a component after those it leads to
+
+
+def test_sccs_do_not_recurse_on_deep_graphs():
+    n = 200_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        path = sccs([[i + 1] for i in range(n - 1)] + [[]])
+        cycle = sccs([[(i + 1) % n] for i in range(n)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert path == [[i] for i in reversed(range(n))]
+    assert len(cycle) == 1 and sorted(cycle[0]) == list(range(n))
 
 
 def test_solve_is_pure():
