@@ -404,6 +404,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "fuel", 0) < 0:
             raise ValueError(f"--fuel must be >= 0, got {args.fuel}")
+        if getattr(args, "state_cap", 1) < 1:
+            raise ValueError(f"--state-cap must be >= 1, got {args.state_cap}")
         return args.func(args)
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"lambdalab: error: {exc}\n")

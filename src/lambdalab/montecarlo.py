@@ -86,7 +86,7 @@ class _Sampler:
         self.graph = StateGraph()
         self.eps = strategy.eps
         self.origin = self.graph.intern(t)
-        self.tables: list = [_UNCOMPILED] * len(self.graph.reps)
+        self.tables: list = [_UNCOMPILED] * len(self.graph.forms)
 
     def _compile(self, i: int):
         row = self.graph.row(i, self.eps)
@@ -98,7 +98,7 @@ class _Sampler:
             (lo, p), (ri, _) = row
             table = (p.denominator, p.numerator, lo, ri)
         self.tables[i] = table
-        self.tables += [_UNCOMPILED] * (len(self.graph.reps) - len(self.tables))
+        self.tables += [_UNCOMPILED] * (len(self.graph.forms) - len(self.tables))
         return table
 
     def path(self, seed: int, max_steps: int) -> list[int]:
@@ -128,8 +128,7 @@ def sample_path(t: Term, strategy: Strategy, seed: int, max_steps: int) -> tuple
     and whether the run reached a normal form within max_steps steps."""
     sampler = _Sampler(t, strategy)
     path = sampler.path(seed, max_steps)
-    reps = sampler.graph.reps
-    return [reps[i] for i in path], sampler.graph.is_normal(path[-1])
+    return [sampler.graph.rep(i) for i in path], sampler.graph.is_normal(path[-1])
 
 
 def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunResult:

@@ -1,8 +1,9 @@
 """Probabilistic reduction semantics over exact rationals, on one state graph.
 
-A StateGraph interns alpha-classes to int ids, keeps the first term found
-for each as its representative, and computes each class's LO- and
-RI-successors once; the eps-mixture's row from a class reweights those two.
+A StateGraph interns alpha-classes to int ids and computes each class's
+LO- and RI-successors once, by contracting its canonical form directly;
+the eps-mixture's row from a class reweights those two.  A named
+representative is built only when asked for, by contracting its parent's.
 Each call below builds one graph and runs every eps it needs over it:
 
 * configuration evolution — a partial distribution over alpha-classes is
@@ -34,10 +35,18 @@ from .strategies import (
     Strategy,
     anf_successors,
     beta_successors,
-    lo_ri_reducts,
     n_steps,
 )
-from .terms import CanonicalTerm, Term, canonicalize, is_normal_form, render
+from .terms import (
+    CanonicalTerm,
+    Term,
+    canonicalize,
+    contract,
+    contract_canonical,
+    is_normal_canonical,
+    is_normal_form,
+    render,
+)
 
 TRM = "trm"  # the single absorbing class all normal forms collapse into
 
@@ -64,28 +73,38 @@ DEFAULT_STATE_CAP = 100_000
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_UNEXPANDED = object()  # reduct slot of a reducible class not expanded yet
 
 
 class StateGraph:
     """Alpha-classes interned to int ids in discovery order.
 
-    forms[i] is the canonical form of class i and reps[i] the first term
-    interned for it.  A class's LO- and RI-reducts come from one redex
-    listing the first time either is asked for, and each is interned when
-    first used, so a chain at eps = 0 or 1 discovers only the classes it
-    reaches.  All-beta and argument-normal successor ids, which the laws
-    need, are computed on demand too.
+    forms[i] is the canonical form of class i, and rep(i) its
+    representative: the term interned for it, or for a class found by a
+    step, its parent's representative contracted on the same side.  A
+    class's LO- and RI-successors are found by contracting its canonical
+    form, each side the first time it is asked for, so a chain at eps = 0
+    or 1 discovers only the classes it reaches and no reduct is
+    canonicalised; representatives are built only when asked for.
+    All-beta and argument-normal successor ids, which the laws need, are
+    computed on demand too.
     """
 
     def __init__(self) -> None:
         self.ids: dict[CanonicalTerm, int] = {}
         self.forms: list[CanonicalTerm] = []
-        self.reps: list[Term] = []
-        # per class: None if normal, _UNEXPANDED, or [lo, ri] as ids or terms
-        self._reducts: list = []
+        self._reps: list[Optional[Term]] = []  # None until rep() builds it
+        self._parents: list = []  # (parent id, rightmost) of a class found by a step
+        self._successors: list = []  # None if normal, else [lo, ri] ids, None until found
         self._beta: dict[int, tuple] = {}
         self._anf: dict[int, tuple] = {}
+
+    def _add(self, c: CanonicalTerm, rep: Optional[Term], parent, normal: bool) -> int:
+        i = self.ids[c] = len(self.forms)
+        self.forms.append(c)
+        self._reps.append(rep)
+        self._parents.append(parent)
+        self._successors.append(None if normal else [None, None])
+        return i
 
     def intern(self, t: Term) -> int:
         """The id of t's class; a new class gets the next id and t as its
@@ -93,26 +112,41 @@ class StateGraph:
         c = canonicalize(t)
         i = self.ids.get(c)
         if i is None:
-            i = self.ids[c] = len(self.forms)
-            self.forms.append(c)
-            self.reps.append(t)
-            self._reducts.append(None if is_normal_form(t) else _UNEXPANDED)
+            i = self._add(c, t, None, is_normal_form(t))
         return i
 
+    def rep(self, i: int) -> Term:
+        """The representative term of class i.
+
+        A parent has a smaller id than the classes it finds, so the missing
+        representatives on the way down from the nearest built ancestor are
+        built in id order, without recursion on the discovery depth.
+        """
+        reps, parents = self._reps, self._parents
+        missing = []
+        j = i
+        while reps[j] is None:
+            missing.append(j)
+            j = parents[j][0]
+        for j in reversed(missing):
+            parent, rightmost = parents[j]
+            reps[j] = contract(reps[parent], rightmost)
+        return reps[i]
+
     def is_normal(self, i: int) -> bool:
-        return self._reducts[i] is None
+        return self._successors[i] is None
 
     def _successor(self, i: int, side: int) -> int:
         """Id of the LO- (side 0) or RI-successor (side 1) of reducible class i."""
-        reducts = self._reducts[i]
-        if reducts is _UNEXPANDED:
-            lo, ri = lo_ri_reducts(self.reps[i])
-            # a single redex: both sides are one reduct, needed whatever eps
-            reducts = self._reducts[i] = [self.intern(lo)] * 2 if ri is lo else [lo, ri]
-        target = reducts[side]
-        if not isinstance(target, int):
-            target = reducts[side] = self.intern(target)
-        return target
+        successors = self._successors[i]
+        j = successors[side]
+        if j is None:
+            c = contract_canonical(self.forms[i], side == 1)
+            j = self.ids.get(c)
+            if j is None:
+                j = self._add(c, None, (i, side == 1), is_normal_canonical(c))
+            successors[side] = j
+        return j
 
     def lo_ri(self, i: int) -> Optional[tuple[int, int]]:
         """LO- and RI-successor ids of class i, equal when it has a single
@@ -149,13 +183,13 @@ class StateGraph:
     def beta(self, i: int) -> tuple:
         """Ids of all one-step reducts of class i, in redex order."""
         if i not in self._beta:
-            self._beta[i] = tuple(map(self.intern, beta_successors(self.reps[i])))
+            self._beta[i] = tuple(map(self.intern, beta_successors(self.rep(i))))
         return self._beta[i]
 
     def anf(self, i: int) -> tuple:
         """Ids of the reducts of class i through argument-normal redexes."""
         if i not in self._anf:
-            self._anf[i] = tuple(map(self.intern, anf_successors(self.reps[i])))
+            self._anf[i] = tuple(map(self.intern, anf_successors(self.rep(i))))
         return self._anf[i]
 
     def closure(
@@ -379,7 +413,7 @@ def explore_states(
         t,
         strategy.name,
         tuple(forms[i] for i in order),
-        {forms[i]: graph.reps[i] for i in order},
+        {forms[i]: graph.rep(i) for i in order},
         {forms[i]: tuple((j if j == TRM else forms[j], p) for j, p in rows[i])
          for i in order},
     )

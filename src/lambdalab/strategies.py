@@ -18,6 +18,7 @@ from .terms import (
     CanonicalTerm,
     Term,
     canonicalize,
+    contract,
     is_normal_form,
     redexes,
     reduce_at,
@@ -120,10 +121,7 @@ class Distribution:
 
 def step_lo(t: Term) -> Optional[Term]:
     """One leftmost-outermost step; None iff t is in normal form."""
-    paths = redexes(t)
-    if not paths:
-        return None
-    return reduce_at(t, paths[0])
+    return contract(t, rightmost=False)
 
 
 def step_ri(t: Term) -> Optional[Term]:
@@ -132,22 +130,7 @@ def step_ri(t: Term) -> Optional[Term]:
     The contracted redex is the pre-order-last one, so its argument can
     contain no redex: every RI step is an argument-normal step.
     """
-    paths = redexes(t)
-    if not paths:
-        return None
-    return reduce_at(t, paths[-1])
-
-
-def lo_ri_reducts(t: Term) -> Optional[tuple[Term, Term]]:
-    """The LO- and RI-reducts of t from one redex listing; None iff t is
-    normal.  With a single redex both are the same term object."""
-    paths = redexes(t)
-    if not paths:
-        return None
-    lo_reduct = reduce_at(t, paths[0])
-    if len(paths) == 1:
-        return lo_reduct, lo_reduct
-    return lo_reduct, reduce_at(t, paths[-1])
+    return contract(t, rightmost=True)
 
 
 def _alpha_distinct(reducts) -> list[Term]:
@@ -181,20 +164,16 @@ def anf_successors(t: Term) -> list[Term]:
 def p_eps(t: Term, eps) -> Optional[Distribution]:
     """Distribution of the eps-mixture of LO and RI on t; None iff t normal.
 
-    With a single redex the two choices coincide and the output is Dirac.
-    When the LO- and RI-reducts are alpha-equal the two masses merge onto
-    one class, keeping the total mass exactly 1.
+    When the LO- and RI-reducts are alpha-equal, as with a single redex,
+    the two masses merge onto one class and the output is Dirac.
     """
     eps = Fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0,1], got {eps}")
-    reducts = lo_ri_reducts(t)
-    if reducts is None:
+    lo_reduct = step_lo(t)
+    if lo_reduct is None:
         return None
-    lo_reduct, ri_reduct = reducts
-    if ri_reduct is lo_reduct:
-        return Distribution([(lo_reduct, Fraction(1))])
-    return Distribution([(lo_reduct, eps), (ri_reduct, 1 - eps)])
+    return Distribution([(lo_reduct, eps), (step_ri(t), 1 - eps)])
 
 
 @dataclass(frozen=True)

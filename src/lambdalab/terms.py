@@ -1,10 +1,17 @@
-"""Lambda-term core: syntax, substitution, redexes and sub-calculi.
+"""Lambda-term core: syntax, substitution, redexes, contraction and sub-calculi.
 
 Terms are immutable trees over three constructors (Var, Abs, App) with
 named binders.  Alpha-classes are the working objects: state identity
 goes through canonicalize(), which rewrites bound variables to binding
 depths and keeps free variables by name, so two terms get the same
 canonical form exactly when they are alpha-equivalent.
+
+A canonical form is a de Bruijn term (de Bruijn 1972): ("b", k) is the
+variable bound k binders up, ("f", name) a free variable, ("l", body) an
+abstraction and ("a", fn, arg) an application.  It can be reduced as it
+stands: contract_canonical() takes the LO- or RI-step that contract()
+takes on a named term, so a reduct never has to be named and
+canonicalised again.
 
 Concrete syntax (UTF-8):
 
@@ -332,17 +339,22 @@ def redexes(t: Term) -> list[RedexPath]:
     the RI-redex; the list is empty exactly when t is in normal form.
     """
     out: list[RedexPath] = []
-
-    def walk(node: Term, path: RedexPath) -> None:
+    steps: list[str] = []  # the path to the node being visited
+    # (node, length of its parent's path, step from the parent), pre-order
+    stack: list = [(t, 0, None)]
+    while stack:
+        node, depth, step = stack.pop()
+        del steps[depth:]
+        if step is not None:
+            steps.append(step)
         if isinstance(node, App):
             if isinstance(node.fn, Abs):
-                out.append(path)
-            walk(node.fn, path + (INTO_FN,))
-            walk(node.arg, path + (INTO_ARG,))
+                out.append(tuple(steps))
+            depth = len(steps)
+            stack.append((node.arg, depth, INTO_ARG))
+            stack.append((node.fn, depth, INTO_FN))
         elif isinstance(node, Abs):
-            walk(node.body, path + (INTO_BODY,))
-
-    walk(t, ())
+            stack.append((node.body, len(steps), INTO_BODY))
     return out
 
 
@@ -417,6 +429,132 @@ def multiplicity(t: Term, path: RedexPath) -> int:
     redex = _redex_at(t, path)
     assert isinstance(redex.fn, Abs)
     return _free_occurrences(redex.fn.body, redex.fn.binder)
+
+
+# ---------------------------------------------------------------------------
+# contraction of the LO- or RI-redex
+
+
+def contract(t: Term, rightmost: bool) -> Optional[Term]:
+    """One beta-step at the pre-order first redex of t (the LO-redex), or
+    at the last one (the RI-redex) when rightmost; None iff t is normal.
+
+    Equal to reduce_at(t, redexes(t)[0]) or reduce_at(t, redexes(t)[-1]),
+    but found in one descent.  The last redex in pre-order lies in the
+    argument if that has one, else in the function, else it is the node.
+    """
+
+    def go(node: Term) -> Optional[Term]:
+        if isinstance(node, App):
+            fn, arg = node.fn, node.arg
+            if rightmost:
+                new = go(arg)
+                if new is not None:
+                    return App(fn, new)
+                new = go(fn)
+                if new is not None:
+                    return App(new, arg)
+                return substitute(fn.body, fn.binder, arg) if isinstance(fn, Abs) else None
+            if isinstance(fn, Abs):
+                return substitute(fn.body, fn.binder, arg)
+            new = go(fn)
+            if new is not None:
+                return App(new, arg)
+            new = go(arg)
+            return None if new is None else App(fn, new)
+        if isinstance(node, Abs):
+            new = go(node.body)
+            return None if new is None else Abs(node.binder, new)
+        return None
+
+    return go(t)
+
+
+def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
+    """body{arg/0} by de Bruijn beta: the abstraction's own index is
+    replaced by arg, indices above it drop by one, and arg's outer indices
+    are shifted by the number of binders it lands under."""
+    shifted = {0: arg}  # arg as it reads under this many extra binders
+
+    def shift(node: CanonicalTerm, by: int, depth: int) -> CanonicalTerm:
+        tag = node[0]
+        if tag == "b":
+            return ("b", node[1] + by) if node[1] >= depth else node
+        if tag == "l":
+            inner = shift(node[1], by, depth + 1)
+            return node if inner is node[1] else ("l", inner)
+        if tag == "a":
+            fn, a = shift(node[1], by, depth), shift(node[2], by, depth)
+            return node if fn is node[1] and a is node[2] else ("a", fn, a)
+        return node
+
+    def go(node: CanonicalTerm, depth: int) -> CanonicalTerm:
+        tag = node[0]
+        if tag == "b":
+            k = node[1]
+            if k == depth:
+                out = shifted.get(depth)
+                if out is None:
+                    out = shifted[depth] = shift(arg, depth, 0)
+                return out
+            return ("b", k - 1) if k > depth else node
+        if tag == "l":
+            inner = go(node[1], depth + 1)
+            return node if inner is node[1] else ("l", inner)
+        if tag == "a":
+            fn, a = go(node[1], depth), go(node[2], depth)
+            return node if fn is node[1] and a is node[2] else ("a", fn, a)
+        return node
+
+    return go(body, 0)
+
+
+def contract_canonical(c: CanonicalTerm, rightmost: bool) -> Optional[CanonicalTerm]:
+    """contract on a canonical form: canonicalize(contract(t, r)) ==
+    contract_canonical(canonicalize(t), r).  Sub-tuples the step does not
+    touch are returned as they are."""
+
+    def go(node: CanonicalTerm) -> Optional[CanonicalTerm]:
+        tag = node[0]
+        if tag == "a":
+            fn, arg = node[1], node[2]
+            if rightmost:
+                new = go(arg)
+                if new is not None:
+                    return ("a", fn, new)
+                new = go(fn)
+                if new is not None:
+                    return ("a", new, arg)
+                return _beta_canonical(fn[1], arg) if fn[0] == "l" else None
+            if fn[0] == "l":
+                return _beta_canonical(fn[1], arg)
+            new = go(fn)
+            if new is not None:
+                return ("a", new, arg)
+            new = go(arg)
+            return None if new is None else ("a", fn, new)
+        if tag == "l":
+            new = go(node[1])
+            return None if new is None else ("l", new)
+        return None
+
+    return go(c)
+
+
+def is_normal_canonical(c: CanonicalTerm) -> bool:
+    """is_normal_form on a canonical form, without recursion."""
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        tag = node[0]
+        if tag == "a":
+            if node[1][0] == "l":
+                return False
+            stack.append(node[2])
+            stack.append(node[1])
+        elif tag == "l":
+            stack.append(node[1])
+    return True
 
 
 # ---------------------------------------------------------------------------

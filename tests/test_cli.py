@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,13 @@ def test_sweep_nonpositive_state_cap_exits_3(capsys, cap):
     _assert_one_line_usage_error(main(["sweep", "Mn:3", "--state-cap", cap]), capsys)
 
 
+@pytest.mark.parametrize("argv", [("analyze", "Mn:3", "--eps", "1/2"), ("sweep", "Mn:3")],
+                         ids=lambda argv: argv[0])
+def test_nonpositive_state_cap_error_names_the_flag(capsys, argv):
+    assert main([*argv, "--state-cap", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "lambdalab: error: --state-cap must be >= 1, got 0\n"
+
+
 DEEP = 30_000
 
 
@@ -355,3 +363,28 @@ def test_output_independent_of_hash_seed(argv):
         results.append((proc.returncode, proc.stdout))
     assert results[0][1]
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+GOLDEN_DIGESTS = {  # SHA-256 of stdout
+    ("laws", "--suite", "all", "--format", "json"):
+        "56913488f2fe38821f73800862aa8b2b5afe555fba6f7d18493d06b7e4ce02f2",
+    ("sweep", "example2", "--format", "csv"):
+        "4b4cb005a2e307c923111a4e528664ba020786382778ea94d7aca86813269f94",
+    ("analyze", "Mn:12", "--eps", "3/7", "--format", "json"):
+        "34a9f46530f902c4afbaca35dd1a4bbcbf634c5f7356ac88e3f302819ee3def3",
+    ("montecarlo", "Mn:20", "--eps", "2/7", "--seed", "9", "--format", "json"):
+        "fabfeb68b66757638f0cc016b18b2574bcbeb2fe9ebd9d5aeb9ab9594594a0a7",
+    ("reduce", "Mn:6", "--strategy", "peps:1/3", "--seed", "5"):
+        "d1ac6b942f2d8cc299dfe1bdffab5912864f6c66d2b941c850376a749ce4874c",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_DIGESTS, ids=lambda argv: argv[0])
+def test_output_matches_golden_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[argv]

@@ -12,6 +12,7 @@ from lambdalab.pars import (
     TRM,
     Configuration,
     StateCapExceeded,
+    StateGraph,
     _solve_rows,
     analyze,
     chain_derivation_lengths,
@@ -27,15 +28,20 @@ from lambdalab.pars import (
 )
 from lambdalab.strategies import InvalidEpsilon, Strategy, n_steps
 from lambdalab.terms import (
+    App,
     SubCalculus,
     Var,
     canonicalize,
+    is_normal_form,
     mk_I,
     mk_Mn,
     mk_Omega,
     mk_example1,
     mk_example2,
+    parse,
     random_term,
+    redexes,
+    reduce_at,
     render,
 )
 
@@ -206,6 +212,93 @@ def test_explore_states_cap():
 def test_explore_states_normal_origin():
     chain = explore_states(I, HALF)
     assert chain.states == ()
+
+
+def _explore_eagerly(t, eps, state_cap):
+    """explore_states by named reducts, each canonicalised: (states,
+    rendered representatives, rows), or None past the state cap.  The first
+    term found for a class, LO-reduct before RI-reduct, represents it."""
+    origin = canonicalize(t)
+    if is_normal_form(t):
+        return (), [], {}
+    reps = {origin: t}
+    order, seen, rows = [origin], {origin}, {}
+    for c in order:  # order grows while it is walked
+        u = reps[c]
+        paths = redexes(u)
+        row = {}
+        for v, p in ((reduce_at(u, paths[0]), eps), (reduce_at(u, paths[-1]), 1 - eps)):
+            if p != 0:
+                d = canonicalize(v)
+                reps.setdefault(d, v)
+                key = TRM if is_normal_form(v) else d
+                row[key] = row.get(key, 0) + p
+        rows[c] = tuple(row.items())
+        for key in row:
+            if key != TRM and key not in seen:
+                if len(order) >= state_cap:
+                    return None
+                seen.add(key)
+                order.append(key)
+    return tuple(order), [render(reps[c]) for c in order], rows
+
+
+ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7))
+
+
+def _assert_explore_matches_eager_oracle(t):
+    for eps in ORACLE_EPS:
+        expected = _explore_eagerly(t, eps, 200)
+        try:
+            chain = explore_states(t, Strategy.peps(eps), state_cap=200)
+        except StateCapExceeded:
+            assert expected is None
+            continue
+        assert expected == (chain.states, [render(chain.reps[c]) for c in chain.states],
+                            chain.rows)
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(list(SubCalculus)),
+)
+@settings(max_examples=100, deadline=None)
+def test_explore_matches_eager_oracle_on_random_terms(seed, tag):
+    _assert_explore_matches_eager_oracle(random_term(seed, 40, tag))
+
+
+@pytest.mark.parametrize("entry", anchor_corpus(), ids=lambda e: e.term_id)
+def test_explore_matches_eager_oracle_on_anchor_terms(entry):
+    _assert_explore_matches_eager_oracle(entry.term)
+
+
+@pytest.mark.parametrize("literal", [
+    "(\\x.x x x) ((\\z.z) ((\\z.z) y))",  # dup: 3 copies, 2 identities
+    "(\\x.\\y.x y) ((\\z.y z) y)",  # the argument's free y meets the binder y
+    "(\\f.\\y.f (f y)) (\\x.(\\z.x y) x)",
+])
+def test_explore_matches_eager_oracle_on_capture_prone_terms(literal):
+    _assert_explore_matches_eager_oracle(parse(literal))
+
+
+def test_rep_does_not_recurse_on_discovery_depth():
+    # a balanced tree of identity redexes: LO contracts them left to right,
+    # so each class is found from the one before while the terms stay shallow
+    n = 1024
+    level = [App(I, Var("y")) for _ in range(n)]
+    while len(level) > 1:
+        level = [App(a, b) for a, b in zip(level[::2], level[1::2])]
+    graph = StateGraph()
+    i = graph.intern(level[0])
+    while not graph.is_normal(i):
+        ((i, _),) = graph.row(i, Fraction(1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        last = graph.rep(i)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert i == n and canonicalize(last) == graph.forms[i]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import sys
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 
 from lambdalab.terms import (
     Abs,
@@ -12,10 +15,13 @@ from lambdalab.terms import (
     alpha_eq,
     canonicalize,
     classify,
+    contract,
+    contract_canonical,
     free_vars,
     is_anf_redex,
     is_lambda_A,
     is_lambda_I,
+    is_normal_canonical,
     is_normal_form,
     mk_Cn,
     mk_I,
@@ -254,6 +260,80 @@ def test_reduce_at_invalid_path():
         is_anf_redex(EX2, ("fn",))
     with pytest.raises(InvalidPath):
         multiplicity(I, ())
+
+
+def test_redexes_do_not_recurse_on_deep_terms():
+    n = 30_000
+    spine = App(I, Var("y"))  # the one redex, at the bottom of the spine
+    nested = App(I, Var("x"))
+    for _ in range(n):
+        spine = App(spine, Var("y"))
+        nested = Abs("x", nested)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        spine_paths = redexes(spine)
+        nested_paths = redexes(nested)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert spine_paths == [("fn",) * n]
+    assert nested_paths == [("body",) * n]
+
+
+# ---------------------------------------------------------------------------
+# contraction of the LO- and RI-redex
+
+CONTRACTION_ANCHORS = [
+    BIG_OMEGA,
+    EX1,
+    EX2,
+    mk_Mn(1),
+    mk_Mn(3),
+    parse("(\\x.x x x) ((\\z.z) ((\\z.z) y))"),  # dup: 3 copies, 2 identities
+    # capture-prone: the argument's free names are binders in the body
+    parse("(\\x.\\y.x y) y"),
+    parse("(\\x.\\y.\\y1.x y y1) (y y1)"),
+    parse("\\y.(\\x.\\y.x y) y"),
+    parse("(\\x.\\x.x) y"),
+    parse("(\\f.\\y.f ((\\z.f z) y)) (\\x.y)"),
+    parse("(\\x.(\\y.x y) (\\x.x y)) (\\z.y)"),
+]
+
+
+def _assert_contractions_agree(t):
+    paths = redexes(t)
+    c = canonicalize(t)
+    for rightmost in (False, True):
+        u = contract(t, rightmost)
+        assert contract_canonical(c, rightmost) == (None if u is None else canonicalize(u))
+        if paths:
+            assert u == reduce_at(t, paths[-1] if rightmost else paths[0])
+        else:
+            assert u is None
+    assert is_normal_canonical(c) == is_normal_form(t) == (not paths)
+
+
+@pytest.mark.parametrize("t", CONTRACTION_ANCHORS, ids=render)
+def test_contractions_agree_on_anchor_terms(t):
+    _assert_contractions_agree(t)
+
+
+@given(terms)
+def test_contractions_agree_on_generated_terms(t):
+    _assert_contractions_agree(t)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(list(SubCalculus)))
+@settings(max_examples=200, deadline=None)
+def test_contractions_agree_on_random_terms(seed, tag):
+    _assert_contractions_agree(random_term(seed, 40, tag))
+
+
+def test_contract_canonical_shares_untouched_subterms():
+    c = canonicalize(parse("\\w.(\\x.x) y (\\z.z w)"))
+    lo = contract_canonical(c, False)
+    assert lo == canonicalize(parse("\\w.y (\\z.z w)"))
+    assert lo[1][2] is c[1][2]
 
 
 def test_is_normal_form():
