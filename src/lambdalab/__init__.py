@@ -11,13 +11,10 @@ from .pars import (
     ChainAnalysis,
     Configuration,
     EvolutionTrace,
-    FosterReport,
     SingularSystem,
     StateCapExceeded,
     TRM,
     analyze,
-    chain_derivation_lengths,
-    check_foster,
     derivation_length_dist,
     evolve,
     evolve_trace,

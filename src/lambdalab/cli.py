@@ -16,17 +16,14 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from . import laws as laws_mod
 from . import repro as repro_mod
 from .montecarlo import estimate, sample_path
-from .pars import (
-    StateCapExceeded,
-    analyze,
-    grid_expected_lengths,
-)
-from .strategies import STEPPERS, Strategy, n_steps, parse_probability
+from .pars import DEFAULT_STATE_CAP, StateCapExceeded, analyze, grid_expected_lengths
+from .strategies import DEFAULT_FUEL, Strategy, n_steps, parse_probability, walk
 from .terms import (
     NAMED_TERMS,
     ParseError,
@@ -66,10 +63,14 @@ def resolve_term(text: str) -> tuple[str, Term]:
     """Named corpus terms by name, anything else as a term literal."""
     if text in NAMED_TERMS:
         return text, NAMED_TERMS[text]()
-    if text.startswith("Cn:"):
-        return text, mk_Cn(int(text[3:]))
-    if text.startswith("Mn:"):
-        return text, mk_Mn(int(text[3:]))
+    for prefix, make in (("Cn:", mk_Cn), ("Mn:", mk_Mn)):
+        if text.startswith(prefix):
+            index = text[len(prefix):]
+            try:
+                n = int(index)
+            except ValueError:
+                raise ValueError(f"{text}: index {index!r} is not an integer") from None
+            return text, make(n)
     return text, parse(text)
 
 
@@ -98,18 +99,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_reduce(args) -> int:
     _, t = resolve_term(args.term)
     strategy = Strategy.parse(args.strategy)
-    stepper = STEPPERS.get(strategy.name)
-    if stepper is None:
+    if strategy.name in ("lo", "ri"):
+        # lo and ri step the concrete terms
+        path = list(islice(walk(t, strategy.name), args.fuel + 2))
+        finished = len(path) <= args.fuel + 1
+        del path[args.fuel + 1:]
+    else:
         # a mixture is traced by sampling one seeded run over the alpha-classes
         path, finished = sample_path(t, strategy, args.seed, args.fuel)
-    else:
-        # lo and ri step the concrete terms
-        path = [t]
-        nxt = stepper(t)
-        while nxt is not None and len(path) <= args.fuel:
-            path.append(nxt)
-            nxt = stepper(nxt)
-        finished = nxt is None
     lines = [render(path[0])] + [f"-> {render(u)}" for u in path[1:]]
     steps = len(path) - 1
     if not finished:
@@ -348,7 +345,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reduce", help="print a step trace")
     p.add_argument("term", help="term literal or corpus name (I, Omega, Cn:3, ...)")
     p.add_argument("--strategy", default="lo", help="lo, ri or peps:<num>/<den>")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--seed", type=int, default=0, help="seed for peps traces")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reduce)
@@ -356,7 +353,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="exact chain analysis for one eps")
     p.add_argument("term")
     p.add_argument("--eps", required=True, help="num/den (decimals rejected)")
-    p.add_argument("--state-cap", type=int, default=100_000)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
@@ -364,8 +361,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="exact expected lengths across an eps grid")
     p.add_argument("term")
     p.add_argument("--grid", default="0,1/10,1/4,1/2,3/4,9/10,1")
-    p.add_argument("--fuel", type=int, default=10_000)
-    p.add_argument("--state-cap", type=int, default=100_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -397,15 +394,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the least value each integer flag accepts, checked before any subcommand runs
+FLAG_MINIMUMS = (
+    ("fuel", 0), ("state_cap", 1), ("samples", 1), ("max_steps", 1), ("size_cap", 1), ("count", 0)
+)
+
+
 def main(argv=None) -> int:
     ensure_recursion_headroom()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "fuel", 0) < 0:
-            raise ValueError(f"--fuel must be >= 0, got {args.fuel}")
-        if getattr(args, "state_cap", 1) < 1:
-            raise ValueError(f"--state-cap must be >= 1, got {args.state_cap}")
+        for dest, least in FLAG_MINIMUMS:
+            value = getattr(args, dest, least)
+            if value < least:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
         return args.func(args)
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"lambdalab: error: {exc}\n")

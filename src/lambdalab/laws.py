@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
-from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, sccs
-from .strategies import beta_successors, n_steps
+from .pars import DEFAULT_STATE_CAP, StateCapExceeded, StateGraph, grid_expected_lengths, sccs
+from .strategies import beta_successors, n_steps, walk
 from .terms import (
     SubCalculus,
     Term,
@@ -53,7 +54,7 @@ DEFAULT_CORPUS_SIZE_CAP = 12
 DEFAULT_CORPUS_COUNT = 200
 DEFAULT_WN_FUEL = 500
 DEFAULT_GRAPH_CAP = 600
-_WN_SIZE_GUARD = 4_000
+WN_SIZE_GUARD = 4_000  # largest LO reduct lo_normalizes admits, in nodes
 
 
 @dataclass(frozen=True)
@@ -136,21 +137,16 @@ def anchor_corpus(max_n: int = 5) -> list[CorpusTerm]:
     return entries
 
 
-def lo_normalizes(t: Term, fuel: int, size_guard: int = _WN_SIZE_GUARD) -> Optional[int]:
-    """LO step count to normal form, or None if fuel or the size guard runs
-    out first.  Sound as a weak-normalization certificate: only terms whose
-    LO reduction demonstrably finishes are admitted."""
-    from .strategies import step_lo
-
-    current = t
-    for n in range(fuel + 1):
-        nxt = step_lo(current)
-        if nxt is None:
-            return n
-        if term_size(nxt) > size_guard:
+def lo_normalizes(t: Term, fuel: int) -> Optional[int]:
+    """LO step count to normal form, or None if fuel runs out or a reduct
+    outgrows WN_SIZE_GUARD first.  Sound as a weak-normalization
+    certificate: only terms whose LO reduction demonstrably finishes are
+    admitted."""
+    n = -1
+    for n, u in enumerate(islice(walk(t, "lo"), fuel + 2)):
+        if n and term_size(u) > WN_SIZE_GUARD:
             return None
-        current = nxt
-    return None
+    return n if n <= fuel else None
 
 
 def random_corpus(
@@ -448,7 +444,7 @@ def law_eps_minimum(
     minimum_at: Fraction,
     corpus_desc: str = "corpus",
     grid=GRID_WITH_ZERO,
-    state_cap: int = 100_000,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LawReport:
     """The expected derivation length over the eps grid attains its minimum
     at the stated endpoint (1 for lambda-A corpora, 0 for lambda-I ones)."""
@@ -486,7 +482,7 @@ def law_foster(
     corpus_desc: str = "corpus",
     grid=DEFAULT_GRID,
     fuel: int = DEFAULT_WN_FUEL,
-    state_cap: int = 100_000,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LawReport:
     """Expected length <= N_LO/eps on every fuel-verified WN corpus term
     for every grid eps > 0."""

@@ -31,12 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .strategies import (
-    Strategy,
-    anf_successors,
-    beta_successors,
-    n_steps,
-)
+from .strategies import Strategy, anf_successors, beta_successors
 from .terms import (
     CanonicalTerm,
     Term,
@@ -543,37 +538,6 @@ def analyze(
     return solve_expected_length(explore_states(t, strategy, state_cap))
 
 
-def chain_derivation_lengths(chain: ChainAnalysis, horizon: int) -> dict[int, Fraction]:
-    """Absorption-time distribution of the chain up to the horizon.
-
-    Pushes the origin's unit mass through the chain rows and records the
-    mass entering TRM at each step; agrees entry-wise with the trace-side
-    derivation_length_dist over the shared horizon.  Zero entries omitted.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    out: dict[int, Fraction] = {}
-    if not chain.states:  # origin already normal
-        out[0] = Fraction(1)
-        return out
-    current: dict[CanonicalTerm, Fraction] = {chain.origin: Fraction(1)}
-    for step in range(1, horizon + 1):
-        absorbed = Fraction(0)
-        nxt: dict[CanonicalTerm, Fraction] = {}
-        for c, m in current.items():
-            for target, p in chain.rows[c]:
-                if target == TRM:
-                    absorbed += m * p
-                else:
-                    nxt[target] = nxt.get(target, Fraction(0)) + m * p
-        if absorbed:
-            out[step] = absorbed
-        current = nxt
-        if not current:
-            break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # epsilon grids
 
@@ -603,69 +567,3 @@ def grid_expected_lengths(
         eps: _solve_rows(states, {i: graph.chain_row(i, eps) for i in states}, root)
         for eps in map(Fraction, grid)
     }
-
-
-# ---------------------------------------------------------------------------
-# the expectation bound
-
-
-@dataclass(frozen=True)
-class FosterReport:
-    """Comparison of the solved expected length against N_LO/eps."""
-
-    term: Term
-    eps: Fraction
-    status: str  # "holds" | "violated" | "inconclusive"
-    reason: str
-    n_lo: Optional[int] = None
-    bound: Optional[Fraction] = None
-    expected_length: Optional[Fraction] = None
-    termination_prob: Optional[Fraction] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
-
-
-def check_foster(
-    t: Term,
-    eps,
-    fuel: int = 10_000,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> FosterReport:
-    """Check exact expected length <= N_LO/eps for one term and one eps."""
-    from .strategies import InvalidEpsilon
-
-    eps = Fraction(eps)
-    if eps == 0:
-        raise InvalidEpsilon("the bound requires eps > 0")
-    count = n_steps(t, "lo", fuel)
-    if not count.finite:
-        return FosterReport(t, eps, "inconclusive", f"LO did not finish in {fuel} steps")
-    bound = Fraction(count.steps) / eps
-    try:
-        chain = analyze(t, Strategy.peps(eps), state_cap)
-    except StateCapExceeded as exc:
-        return FosterReport(
-            t, eps, "inconclusive", f"state cap hit ({exc.discovered} states)",
-            n_lo=count.steps, bound=bound,
-        )
-    assert chain.termination_prob is not None
-    if chain.expected_length is None:
-        return FosterReport(
-            t, eps, "violated", "termination probability below 1",
-            n_lo=count.steps, bound=bound,
-            termination_prob=chain.termination_prob,
-        )
-    status = "holds" if chain.expected_length <= bound else "violated"
-    reason = (
-        "equality" if chain.expected_length == bound else
-        f"{chain.expected_length} <= {bound}" if status == "holds" else
-        f"{chain.expected_length} > {bound}"
-    )
-    return FosterReport(
-        t, eps, status, reason,
-        n_lo=count.steps, bound=bound,
-        expected_length=chain.expected_length,
-        termination_prob=chain.termination_prob,
-    )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .terms import (
     CanonicalTerm,
@@ -221,20 +222,22 @@ class Strategy:
 # derivation-length counters
 
 
-# the deterministic strategies by name, stepping concrete terms
-STEPPERS: dict[str, Callable[[Term], Optional[Term]]] = {"lo": step_lo, "ri": step_ri}
+def walk(t: Term, strategy: str) -> Iterator[Term]:
+    """t and its successive reducts under "lo" or "ri", ending with the
+    normal form if one is reached."""
+    if strategy not in ("lo", "ri"):
+        raise ValueError(f"no deterministic strategy {strategy!r} (want lo or ri)")
+    rightmost = strategy == "ri"
+    while t is not None:
+        yield t
+        t = contract(t, rightmost)
 
 
 def n_steps(t: Term, strategy: str, fuel: int = DEFAULT_FUEL) -> StepCount:
     """Steps to normal form under a deterministic strategy, fuel-bounded."""
-    stepper = STEPPERS[strategy]
-    current = t
-    for n in range(fuel + 1):
-        nxt = stepper(current)
-        if nxt is None:
-            return StepCount.reached(n)
-        current = nxt
-    return StepCount.exhausted(fuel)
+    # fuel steps visit fuel + 1 terms; a further term means the fuel ran out
+    n = sum(1 for _ in islice(walk(t, strategy), fuel + 2)) - 1
+    return StepCount.reached(n) if n <= fuel else StepCount.exhausted(fuel)
 
 
 def foster_bound(t: Term, eps, fuel: int = DEFAULT_FUEL) -> Optional[Fraction]:

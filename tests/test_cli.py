@@ -79,6 +79,19 @@ def test_reduce_fuel_exhaustion_is_inconclusive(capsys):
     assert "fuel exhausted after 25 steps" in out
 
 
+@pytest.mark.parametrize("strategy, n", [("lo", 4), ("ri", 3)])
+def test_reduce_fuel_boundary(capsys, strategy, n):
+    code, out = run_cli(capsys, "reduce", "example2", "--strategy", strategy, "--fuel", str(n))
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == n + 2 and out.endswith(f"normal form in {n} steps\n")
+    code, short = run_cli(
+        capsys, "reduce", "example2", "--strategy", strategy, "--fuel", str(n - 1)
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert short.splitlines()[:n] == out.splitlines()[:n]
+    assert short.splitlines()[n:] == [f"fuel exhausted after {n - 1} steps"]
+
+
 SELF_APPLICATION = "(\\x.x x)(\\y.y y)"
 
 
@@ -301,6 +314,26 @@ def test_nonpositive_state_cap_error_names_the_flag(capsys, argv):
     assert capsys.readouterr().err == "lambdalab: error: --state-cap must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("montecarlo", "I", "--eps", "1/2", "--samples", "0"), "--samples must be >= 1, got 0"),
+        (("montecarlo", "I", "--eps", "1/2", "--max-steps", "0"),
+         "--max-steps must be >= 1, got 0"),
+        (("laws", "--size-cap", "0"), "--size-cap must be >= 1, got 0"),
+        (("laws", "--count", "-1"), "--count must be >= 0, got -1"),
+        (("reduce", "Mn:abc"), "Mn:abc: index 'abc' is not an integer"),
+        (("analyze", "Cn:x", "--eps", "1/2"), "Cn:x: index 'x' is not an integer"),
+    ],
+    ids=["samples", "max-steps", "size-cap", "count", "Mn-index", "Cn-index"],
+)
+def test_usage_error_names_what_was_typed(capsys, argv, message):
+    assert main(list(argv)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"lambdalab: error: {message}\n"
+    assert captured.out == ""
+
+
 DEEP = 30_000
 
 
@@ -388,3 +421,18 @@ def test_output_matches_golden_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+SWEEP_GOLDEN_DIGESTS = {  # SHA-256 of stdout, in the formats the csv digest leaves out
+    ("sweep", "Mn:4", "--format", "json"):
+        "e86d7577de93a6204715d6382c1c7d27683c8e44a38cc7352c1d9b22d0c3db70",
+    ("sweep", "Omega", "--fuel", "3"):
+        "a48084ddb85c791c8221902ef579a6872c5feee4d3ee0e6b0046ad493b9c0f55",
+}
+
+
+@pytest.mark.parametrize("argv", SWEEP_GOLDEN_DIGESTS, ids=["json", "text"])
+def test_sweep_matches_golden_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SWEEP_GOLDEN_DIGESTS[argv]

@@ -22,13 +22,17 @@ from lambdalab.laws import (
     random_corpus,
     run_suite,
 )
+from lambdalab.strategies import StepCount, n_steps
 from lambdalab.terms import (
+    App,
     SubCalculus,
+    Var,
     is_lambda_A,
     is_lambda_I,
     mk_Mn,
     mk_Omega,
     mk_example1,
+    parse,
 )
 
 
@@ -47,6 +51,17 @@ def test_lo_normalizes_certificates():
     assert lo_normalizes(mk_example1(), 10) == 1
     assert lo_normalizes(mk_Omega(), 100) is None
     assert lo_normalizes(mk_Mn(4), 100) == 7
+    assert lo_normalizes(mk_Mn(4), 7) == 7
+    assert lo_normalizes(mk_Mn(4), 6) is None
+
+
+def test_lo_normalizes_size_guard():
+    spine = Var("y")  # a normal variable spine of 1099 nodes
+    for _ in range(549):
+        spine = App(spine, Var("y"))
+    t = App(parse("\\x.x x x x"), spine)  # one LO step to a 4399-node normal form
+    assert lo_normalizes(t, 10) is None
+    assert n_steps(t, "lo", 10) == StepCount.reached(1)
 
 
 def test_random_corpus_deterministic_and_filtered():

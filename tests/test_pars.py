@@ -15,8 +15,6 @@ from lambdalab.pars import (
     StateGraph,
     _solve_rows,
     analyze,
-    chain_derivation_lengths,
-    check_foster,
     derivation_length_dist,
     evolve,
     evolve_trace,
@@ -26,7 +24,7 @@ from lambdalab.pars import (
     sccs,
     solve_expected_length,
 )
-from lambdalab.strategies import InvalidEpsilon, Strategy, n_steps
+from lambdalab.strategies import InvalidEpsilon, Strategy, foster_bound, n_steps
 from lambdalab.terms import (
     App,
     SubCalculus,
@@ -46,6 +44,7 @@ from lambdalab.terms import (
 )
 
 from conftest import terms
+from chain_oracle import chain_derivation_lengths
 from dense_solver import solve_rows_dense
 
 I = mk_I()
@@ -529,37 +528,37 @@ def test_chain_report_round_trip():
 
 
 def test_check_foster_equality_case():
-    report = check_foster(EX1, Fraction(1, 2))
-    assert report.status == "holds" and report.reason == "equality"
-    assert report.expected_length == 2 and report.bound == 2
+    chain = analyze(EX1, Strategy.peps(Fraction(1, 2)))
+    assert chain.expected_length == foster_bound(EX1, Fraction(1, 2)) == 2
 
 
 def test_check_foster_strict_case():
-    report = check_foster(EX2, Fraction(1, 2))
-    assert report.status == "holds"
-    assert report.expected_length == Fraction(7, 2) and report.bound == 8
+    chain = analyze(EX2, Strategy.peps(Fraction(1, 2)))
+    assert chain.expected_length == Fraction(7, 2)
+    assert foster_bound(EX2, Fraction(1, 2)) == 8
 
 
 def test_check_foster_normal_form():
-    report = check_foster(I, Fraction(1, 2))
-    assert report.status == "holds"
-    assert report.expected_length == 0 and report.bound == 0
+    chain = analyze(I, Strategy.peps(Fraction(1, 2)))
+    assert chain.expected_length == foster_bound(I, Fraction(1, 2)) == 0
 
 
 def test_check_foster_inconclusive_on_divergence():
-    report = check_foster(OMEGA2, Fraction(1, 2), fuel=50)
-    assert report.status == "inconclusive"
+    assert foster_bound(OMEGA2, Fraction(1, 2), fuel=50) is None
 
 
 def test_check_foster_rejects_zero_eps():
     with pytest.raises(InvalidEpsilon):
-        check_foster(EX1, 0)
+        foster_bound(EX1, 0)
 
 
 def test_check_foster_random_wn_terms():
     for seed in range(40):
         t = random_term(seed, 10)
-        if not n_steps(t, "lo", 200).finite:
-            continue
         for eps in (Fraction(1, 4), Fraction(3, 4)):
-            assert check_foster(t, eps).status == "holds"
+            bound = foster_bound(t, eps, fuel=200)
+            if bound is None:
+                break
+            chain = analyze(t, Strategy.peps(eps))
+            assert chain.termination_prob == 1
+            assert chain.expected_length <= bound

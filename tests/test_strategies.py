@@ -16,6 +16,7 @@ from lambdalab.strategies import (
     parse_probability,
     step_lo,
     step_ri,
+    walk,
 )
 from lambdalab.terms import (
     App,
@@ -26,6 +27,7 @@ from lambdalab.terms import (
     is_anf_redex,
     is_normal_form,
     mk_I,
+    mk_Mn,
     mk_Omega,
     mk_example1,
     mk_example2,
@@ -174,6 +176,28 @@ def test_n_steps_goldens():
     assert n_steps(EX2, "lo", 10) == StepCount.reached(4)
     assert n_steps(EX2, "ri", 10) == StepCount.reached(3)
     assert n_steps(I, "lo", 10) == StepCount.reached(0)
+
+
+@pytest.mark.parametrize(
+    "term, strategy, n",
+    [(EX2, "lo", 4), (EX2, "ri", 3), (mk_Mn(4), "lo", 7)],
+    ids=["example2-lo", "example2-ri", "Mn:4-lo"],
+)
+def test_n_steps_fuel_boundary(term, strategy, n):
+    assert n_steps(term, strategy, n) == StepCount.reached(n)
+    assert n_steps(term, strategy, n - 1) == StepCount.exhausted(n - 1)
+
+
+@pytest.mark.parametrize("strategy, step", [("lo", step_lo), ("ri", step_ri)])
+def test_walk_yields_each_reduct_down_to_the_normal_form(strategy, step):
+    path = list(walk(EX2, strategy))
+    assert path[0] is EX2 and is_normal_form(path[-1])
+    assert all(step(u) == v for u, v in zip(path, path[1:]))
+
+
+def test_walk_rejects_a_mixture():
+    with pytest.raises(ValueError):
+        next(walk(EX1, "peps:1/2"))
 
 
 def test_foster_bound_values():
