@@ -70,6 +70,8 @@ def resolve_term(text: str) -> tuple[str, Term]:
                 n = int(index)
             except ValueError:
                 raise ValueError(f"{text}: index {index!r} is not an integer") from None
+            if n < 1:
+                raise ValueError(f"{text}: index must be >= 1, got {n}")
             return text, make(n)
     return text, parse(text)
 

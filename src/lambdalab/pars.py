@@ -26,7 +26,7 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
@@ -143,13 +143,6 @@ class StateGraph:
             successors[side] = j
         return j
 
-    def lo_ri(self, i: int) -> Optional[tuple[int, int]]:
-        """LO- and RI-successor ids of class i, equal when it has a single
-        redex; None iff the class is a normal form."""
-        if self.is_normal(i):
-            return None
-        return self._successor(i, 0), self._successor(i, 1)
-
     def row(self, i: int, eps: Fraction) -> Optional[tuple]:
         """((successor id, probability), ...) of the eps-mixture from class
         i: (LO, eps) then (RI, 1 - eps), zero weights dropped and equal
@@ -166,14 +159,17 @@ class StateGraph:
             return ((lo, _ONE),)
         return ((lo, eps), (ri, 1 - eps))
 
-    def chain_row(self, i: int, eps: Fraction) -> tuple:
-        """row(i, eps) of a reducible class with every normal-form target
-        collapsed into TRM."""
-        out: dict = {}
-        for j, p in self.row(i, eps):
-            key = TRM if self.is_normal(j) else j
-            out[key] = out.get(key, 0) + p
-        return tuple(out.items())
+    def chain_rows(self, states: Iterable[int], eps: Fraction) -> dict:
+        """row(i, eps) of each reducible class i in states, with every
+        normal-form target collapsed into TRM."""
+        rows = {}
+        for i in states:
+            out: dict = {}
+            for j, p in self.row(i, eps):
+                key = TRM if self.is_normal(j) else j
+                out[key] = out.get(key, 0) + p
+            rows[i] = tuple(out.items())
+        return rows
 
     def beta(self, i: int) -> tuple:
         """Ids of all one-step reducts of class i, in redex order."""
@@ -322,48 +318,51 @@ def expected_length_truncated(trace: EvolutionTrace) -> Fraction:
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Reachable-state graph of a term under a strategy plus solved
-    hitting-time quantities.
+    """Reachable-state chain of a term under a strategy, keyed by the class
+    ids of the StateGraph it was explored on, plus solved hitting-time
+    quantities.
 
-    states lists the non-absorbing alpha-classes in BFS discovery order;
-    every normal form is identified with the single absorbing class TRM,
-    which self-loops with probability 1.  rows map each state to its exact
-    outgoing distribution over states and TRM.  expected_length is None in
-    a skeleton; after solving it is the exact expected absorption time, or
-    INFINITE (represented as the string "inf" by reports) exactly when the
-    termination probability from the origin is below 1.
+    origin is the id of the term's class and states the ids of the
+    non-absorbing classes in BFS discovery order (empty iff the origin is
+    normal).  Every normal form is identified with the single absorbing
+    class TRM, which self-loops with probability 1; rows map each state to
+    its exact outgoing distribution ((id | TRM, probability), ...).
+    termination_prob and expected_length are None until solved; then
+    termination_prob is the absorption probability from the origin, and
+    expected_length the exact expected absorption time, or None (infinite,
+    "inf" in reports) exactly when that probability is below 1.
     """
 
-    origin: CanonicalTerm
-    origin_term: Term
+    graph: StateGraph = field(compare=False, repr=False)
+    origin: int
     strategy_name: str
-    states: tuple  # CanonicalTerm, BFS order (empty iff origin is normal)
-    reps: dict  # CanonicalTerm -> Term
-    rows: dict  # CanonicalTerm -> tuple[(CanonicalTerm | TRM, Fraction), ...]
+    states: tuple  # ids, BFS order
+    rows: dict  # id -> ((id | TRM, Fraction), ...)
     solved: bool = False
     termination_prob: Optional[Fraction] = None
-    expected_length: Optional[Fraction] = None  # None means infinite once solved
+    expected_length: Optional[Fraction] = None
 
-    def state_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.states)}
+    def rep(self, i: int) -> Term:
+        """The representative term of class i, built on first use."""
+        return self.graph.rep(i)
 
     def to_report(self) -> dict:
         """JSON-ready report: rendered states, num/den transition triples."""
-        index = self.state_index()
+        index = {i: n for n, i in enumerate(self.states)}
         transitions = []
-        for c in self.states:
-            for target, p in self.rows[c]:
+        for i in self.states:
+            for target, p in self.rows[i]:
                 transitions.append(
                     {
-                        "from": index[c],
+                        "from": index[i],
                         "to": TRM if target == TRM else index[target],
                         "prob": f"{p.numerator}/{p.denominator}",
                     }
                 )
         report = {
-            "origin": render(self.origin_term),
+            "origin": render(self.rep(self.origin)),
             "strategy": self.strategy_name,
-            "states": [render(self.reps[c]) for c in self.states],
+            "states": [render(self.rep(i)) for i in self.states],
             "absorbing": TRM,
             "transitions": transitions,
         }
@@ -392,25 +391,15 @@ def explore_states(
         raise ValueError("state_cap must be >= 1")
     graph = StateGraph()
     root = graph.intern(t)
-    forms = graph.forms
-    origin = forms[root]
-    if graph.is_normal(root):
-        return ChainAnalysis(origin, t, strategy.name, (), {origin: t}, {})
-    rows: dict[int, tuple] = {}
-
-    def successors(i: int) -> list:
-        rows[i] = row = graph.chain_row(i, strategy.eps)
-        return [j for j, _ in row if j != TRM]
-
-    order = graph.closure(root, successors, state_cap)
+    eps = strategy.eps
+    states = []
+    if not graph.is_normal(root):
+        states = graph.closure(
+            root, lambda i: [j for j, _ in graph.row(i, eps) if not graph.is_normal(j)],
+            state_cap,
+        )
     return ChainAnalysis(
-        origin,
-        t,
-        strategy.name,
-        tuple(forms[i] for i in order),
-        {forms[i]: graph.rep(i) for i in order},
-        {forms[i]: tuple((j if j == TRM else forms[j], p) for j, p in rows[i])
-         for i in order},
+        graph, root, strategy.name, tuple(states), graph.chain_rows(states, eps)
     )
 
 
@@ -474,7 +463,7 @@ def _solve_linear(matrix: list[list], rhs: list[Fraction]) -> list[Fraction]:
 
 
 def _solve_rows(
-    states: tuple, rows: dict, origin: CanonicalTerm
+    states: tuple, rows: dict, origin: int
 ) -> tuple[Fraction, Optional[Fraction]]:
     """Absorption probability at TRM from origin and, when it is 1, the
     exact expected absorption time (None otherwise).
@@ -488,9 +477,9 @@ def _solve_rows(
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal
     n = len(states)
-    index = {c: i for i, c in enumerate(states)}
+    index = {i: r for r, i in enumerate(states)}
     index[TRM] = n  # solved in advance: absorbed with probability 1 in 0 steps
-    edges = [[(index[target], p) for target, p in rows[c]] for c in states]
+    edges = [[(index[target], p) for target, p in rows[i]] for i in states]
     h = [None] * n + [_ONE]  # absorption probability
     k = [None] * n + [_ZERO]  # expected absorption time where h == 1
     for component in sccs([[j for j, _ in out if j < n] for out in edges]):
@@ -548,22 +537,16 @@ def grid_expected_lengths(
     """(termination probability, expected length) of the LO/RI mixture for
     every eps in the grid.
 
-    The classes reachable through LO or RI steps are explored once and
-    their rows reweighted per eps; the values agree exactly with
+    The classes reachable through LO or RI steps are explored once, as the
+    chain at eps = 1/2, which takes both, and their rows reweighted per
+    eps; the values agree exactly with
     analyze(t, Strategy.peps(eps)) for each grid point (extra states
     reachable only under other eps values cannot influence the origin's
     hitting quantities).
     """
-    if state_cap < 1:
-        raise ValueError("state_cap must be >= 1")
-    graph = StateGraph()
-    root = graph.intern(t)
-    if graph.is_normal(root):
-        return {Fraction(e): (Fraction(1), Fraction(0)) for e in grid}
-    states = tuple(graph.closure(
-        root, lambda i: [j for j in graph.lo_ri(i) if not graph.is_normal(j)], state_cap
-    ))
+    chain = explore_states(t, Strategy.peps(Fraction(1, 2)), state_cap)
+    graph, states = chain.graph, chain.states
     return {
-        eps: _solve_rows(states, {i: graph.chain_row(i, eps) for i in states}, root)
+        eps: _solve_rows(states, graph.chain_rows(states, eps), chain.origin)
         for eps in map(Fraction, grid)
     }

@@ -8,7 +8,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lambdalab.pars import TRM, ChainAnalysis
-from lambdalab.terms import CanonicalTerm
 
 
 def chain_derivation_lengths(chain: ChainAnalysis, horizon: int) -> dict[int, Fraction]:
@@ -24,10 +23,10 @@ def chain_derivation_lengths(chain: ChainAnalysis, horizon: int) -> dict[int, Fr
     if not chain.states:  # origin already normal
         out[0] = Fraction(1)
         return out
-    current: dict[CanonicalTerm, Fraction] = {chain.origin: Fraction(1)}
+    current: dict[int, Fraction] = {chain.origin: Fraction(1)}
     for step in range(1, horizon + 1):
         absorbed = Fraction(0)
-        nxt: dict[CanonicalTerm, Fraction] = {}
+        nxt: dict[int, Fraction] = {}
         for c, m in current.items():
             for target, p in chain.rows[c]:
                 if target == TRM:

@@ -324,8 +324,12 @@ def test_nonpositive_state_cap_error_names_the_flag(capsys, argv):
         (("laws", "--count", "-1"), "--count must be >= 0, got -1"),
         (("reduce", "Mn:abc"), "Mn:abc: index 'abc' is not an integer"),
         (("analyze", "Cn:x", "--eps", "1/2"), "Cn:x: index 'x' is not an integer"),
+        (("reduce", "Mn:0"), "Mn:0: index must be >= 1, got 0"),
+        (("reduce", "Mn:-1"), "Mn:-1: index must be >= 1, got -1"),
+        (("reduce", "Cn:0"), "Cn:0: index must be >= 1, got 0"),
     ],
-    ids=["samples", "max-steps", "size-cap", "count", "Mn-index", "Cn-index"],
+    ids=["samples", "max-steps", "size-cap", "count", "Mn-index", "Cn-index",
+         "Mn-zero", "Mn-negative", "Cn-zero"],
 )
 def test_usage_error_names_what_was_typed(capsys, argv, message):
     assert main(list(argv)) == EXIT_USAGE
@@ -436,3 +440,20 @@ def test_sweep_matches_golden_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SWEEP_GOLDEN_DIGESTS[argv]
+
+
+ANALYZE_GOLDEN_DIGESTS = {  # SHA-256 of stdout: text reports and a normal or divergent origin
+    ("analyze", "example2", "--eps", "1/3"):
+        "445b1c2e0f931fb4157a365c185c8f6c5f1cadc72818cadfdfa2beb4b8127cfd",
+    ("analyze", "I", "--eps", "1/2"):
+        "e377bd66f96756c4d352f474d564c06e65175505251350ca4a2855d34c3dcd44",
+    ("analyze", "Omega", "--eps", "0", "--format", "json"):
+        "46b8dcf895fb53195ef44051776246bbb4af02b5e36b8e717fe8aff2ecd9cdcb",
+}
+
+
+@pytest.mark.parametrize("argv", ANALYZE_GOLDEN_DIGESTS, ids=["text", "normal-origin", "json"])
+def test_analyze_matches_golden_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_GOLDEN_DIGESTS[argv]

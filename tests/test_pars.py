@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from lambdalab import pars
 from lambdalab.laws import anchor_corpus
 from lambdalab.montecarlo import sample_run
 from lambdalab.pars import (
@@ -24,6 +25,7 @@ from lambdalab.pars import (
     sccs,
     solve_expected_length,
 )
+from lambdalab.repro import closed_form_mix_cost
 from lambdalab.strategies import InvalidEpsilon, Strategy, foster_bound, n_steps
 from lambdalab.terms import (
     App,
@@ -177,8 +179,9 @@ def test_truncated_nondecreasing_in_horizon():
 
 def test_explore_states_figure_one_chain():
     chain = explore_states(EX1, HALF)
-    assert chain.states == (canonicalize(EX1),)
-    row = dict(chain.rows[canonicalize(EX1)])
+    forms = chain.graph.forms
+    assert [forms[i] for i in chain.states] == [canonicalize(EX1)]
+    row = {TRM if j == TRM else forms[j]: p for j, p in chain.rows[chain.states[0]]}
     assert row == {TRM: Fraction(1, 2), canonicalize(EX1): Fraction(1, 2)}
 
 
@@ -191,7 +194,7 @@ def test_explore_states_omega_self_loop():
 
 def test_explore_states_example2_seven_states():
     chain = explore_states(EX2, HALF)
-    renders = [render(chain.reps[c]) for c in chain.states]
+    renders = [render(chain.rep(i)) for i in chain.states]
     assert renders == [
         "(\\x.x x) ((\\x.x) (\\x.x))",
         "(\\x.x) (\\x.x) ((\\x.x) (\\x.x))",
@@ -253,8 +256,13 @@ def _assert_explore_matches_eager_oracle(t):
         except StateCapExceeded:
             assert expected is None
             continue
-        assert expected == (chain.states, [render(chain.reps[c]) for c in chain.states],
-                            chain.rows)
+        forms = chain.graph.forms
+        assert expected == (
+            tuple(forms[i] for i in chain.states),
+            [render(chain.rep(i)) for i in chain.states],
+            {forms[i]: tuple((TRM if j == TRM else forms[j], p) for j, p in chain.rows[i])
+             for i in chain.states},
+        )
 
 
 @given(
@@ -302,6 +310,27 @@ def test_rep_does_not_recurse_on_discovery_depth():
 
 # ---------------------------------------------------------------------------
 # exact solving
+
+
+def test_analyze_builds_no_representative(monkeypatch):
+    contract = pars.contract
+    calls = []
+
+    def counting(t, rightmost):
+        calls.append(rightmost)
+        return contract(t, rightmost)
+
+    monkeypatch.setattr(pars, "contract", counting)
+    chain = analyze(mk_Mn(20), Strategy.peps(Fraction(1, 3)))
+    assert calls == []
+    chain.to_report()  # rendering the states builds their representatives
+    assert len(calls) == len(chain.states) - 1
+
+
+@pytest.mark.parametrize("k", [20, 60])
+@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(2, 7)], ids=str)
+def test_analyze_matches_mn_closed_form(k, eps):
+    assert analyze(mk_Mn(k), Strategy.peps(eps)).expected_length == closed_form_mix_cost(k, eps)
 
 
 def test_solver_one_over_eps():
