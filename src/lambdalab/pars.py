@@ -19,9 +19,9 @@ Each call below builds one graph and runs every eps it needs over it:
 
 Everything is computed in exact rational arithmetic.  The chain is solved
 component by component: its strongly connected components are taken sinks
-first, and each is one small linear system eliminated over Fractions, so
-results can be compared with closed formulas for equality rather than
-tolerance.
+first, a one-state component by one division and any larger one as a small
+linear system eliminated over Fractions, so results can be compared with
+closed formulas for equality rather than tolerance.
 """
 
 from __future__ import annotations
@@ -70,6 +70,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _mixture(targets: tuple, weights: tuple) -> tuple:
+    """The eps-mixture's row over the targets that successors(i, eps) lists,
+    or over their images with normal forms collapsed into TRM: the one
+    target with probability 1, else (LO, eps) and (RI, 1 - eps) with
+    weights = (eps, 1 - eps).  Two targets stay distinct under the collapse:
+    they come from two different redexes, and the RI step leaves the LO
+    redex in place, so the RI target is never normal."""
+    if len(targets) == 1:
+        return ((targets[0], _ONE),)
+    return tuple(zip(targets, weights))
+
+
 class StateGraph:
     """Alpha-classes interned to int ids in discovery order.
 
@@ -80,6 +92,8 @@ class StateGraph:
     form, each side the first time it is asked for, so a chain at eps = 0
     or 1 discovers only the classes it reaches and no reduct is
     canonicalised; representatives are built only when asked for.
+    successors(i, eps) lists the ids the eps-mixture can step to, which is
+    all a closure needs; row(i, eps) and chain_rows weigh them.
     All-beta and argument-normal successor ids, which the laws need, are
     computed on demand too.
     """
@@ -143,32 +157,34 @@ class StateGraph:
             successors[side] = j
         return j
 
+    def successors(self, i: int, eps: Fraction) -> tuple:
+        """Ids of the classes that reducible class i steps to under the
+        eps-mixture: its RI-successor at eps 0, its LO-successor at eps 1,
+        and otherwise both, LO first, or one id when they coincide."""
+        if eps == 0:
+            return (self._successor(i, 1),)
+        lo = self._successor(i, 0)
+        if eps == 1:
+            return (lo,)
+        ri = self._successor(i, 1)
+        return (lo,) if lo == ri else (lo, ri)
+
     def row(self, i: int, eps: Fraction) -> Optional[tuple]:
         """((successor id, probability), ...) of the eps-mixture from class
         i: (LO, eps) then (RI, 1 - eps), zero weights dropped and equal
         targets merged.  None iff the class is a normal form."""
         if self.is_normal(i):
             return None
-        if eps == 0:
-            return ((self._successor(i, 1), _ONE),)
-        lo = self._successor(i, 0)
-        if eps == 1:
-            return ((lo, _ONE),)
-        ri = self._successor(i, 1)
-        if lo == ri:
-            return ((lo, _ONE),)
-        return ((lo, eps), (ri, 1 - eps))
+        return _mixture(self.successors(i, eps), (eps, 1 - eps))
 
     def chain_rows(self, states: Iterable[int], eps: Fraction) -> dict:
         """row(i, eps) of each reducible class i in states, with every
         normal-form target collapsed into TRM."""
+        weights = (eps, 1 - eps)
         rows = {}
         for i in states:
-            out: dict = {}
-            for j, p in self.row(i, eps):
-                key = TRM if self.is_normal(j) else j
-                out[key] = out.get(key, 0) + p
-            rows[i] = tuple(out.items())
+            targets = tuple(TRM if self.is_normal(j) else j for j in self.successors(i, eps))
+            rows[i] = _mixture(targets, weights)
         return rows
 
     def beta(self, i: int) -> tuple:
@@ -395,7 +411,7 @@ def explore_states(
     states = []
     if not graph.is_normal(root):
         states = graph.closure(
-            root, lambda i: [j for j, _ in graph.row(i, eps) if not graph.is_normal(j)],
+            root, lambda i: [j for j in graph.successors(i, eps) if not graph.is_normal(j)],
             state_cap,
         )
     return ChainAnalysis(
@@ -473,6 +489,9 @@ def _solve_rows(
     component (or none leaves), 1 if it is 1 there, and below 1 throughout
     otherwise; one exact system, fed by the values solved downstream, then
     gives the expected time in the second case, the probability in the third.
+    A one-state component's system is the single equation x = b + loop x,
+    with loop the weight of its self-loop, so it is solved as
+    x = b / (1 - loop) without elimination.
     """
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal
@@ -484,25 +503,40 @@ def _solve_rows(
     k = [None] * n + [_ZERO]  # expected absorption time where h == 1
     for component in sccs([[j for j, _ in out if j < n] for out in edges]):
         pos = {i: r for r, i in enumerate(component)}
-        exits = {h[j] for i in component for j, _ in edges[i] if j not in pos}
-        if not any(exits):
+        reaches, sure = False, True  # some exit has h > 0; every exit has h == 1
+        for i in component:
+            for j, _ in edges[i]:
+                if j not in pos:
+                    reaches = reaches or h[j] != 0
+                    sure = sure and h[j] == 1
+        if not reaches:
             for i in component:
                 h[i] = _ZERO
             continue
-        sure = exits == {1}
         downstream = k if sure else h
-        matrix = [[0] * len(component) for _ in component]
-        rhs = []
-        for r, i in enumerate(component):
-            matrix[r][r] = 1
-            b = _ONE if sure else _ZERO
+        if len(component) == 1:
+            (i,) = component
+            b, loop = (_ONE if sure else _ZERO), _ZERO
             for j, p in edges[i]:
-                if j in pos:
-                    matrix[r][pos[j]] -= p
+                if j == i:
+                    loop = p
                 else:
                     b += p * downstream[j]
-            rhs.append(b)
-        for i, x in zip(component, _solve_linear(matrix, rhs)):
+            xs = [b / (1 - loop) if loop else b]
+        else:
+            matrix = [[0] * len(component) for _ in component]
+            rhs = []
+            for r, i in enumerate(component):
+                matrix[r][r] = 1
+                b = _ONE if sure else _ZERO
+                for j, p in edges[i]:
+                    if j in pos:
+                        matrix[r][pos[j]] -= p
+                    else:
+                        b += p * downstream[j]
+                rhs.append(b)
+            xs = _solve_linear(matrix, rhs)
+        for i, x in zip(component, xs):
             h[i], k[i] = (_ONE, x) if sure else (x, None)
     return h[index[origin]], k[index[origin]]
 

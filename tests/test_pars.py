@@ -245,11 +245,12 @@ def _explore_eagerly(t, eps, state_cap):
     return tuple(order), [render(reps[c]) for c in order], rows
 
 
-ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7))
+# 1/2 is the eps grid_expected_lengths explores at
+EXPLORE_ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7))
 
 
 def _assert_explore_matches_eager_oracle(t):
-    for eps in ORACLE_EPS:
+    for eps in EXPLORE_ORACLE_EPS:
         expected = _explore_eagerly(t, eps, 200)
         try:
             chain = explore_states(t, Strategy.peps(eps), state_cap=200)
@@ -325,6 +326,21 @@ def test_analyze_builds_no_representative(monkeypatch):
     assert calls == []
     chain.to_report()  # rendering the states builds their representatives
     assert len(calls) == len(chain.states) - 1
+
+
+def test_one_state_components_skip_elimination(monkeypatch):
+    solve_linear = pars._solve_linear
+    calls = []
+
+    def counting(matrix, rhs):
+        calls.append(len(rhs))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(pars, "_solve_linear", counting)
+    dup = parse("(\\x.x x x x) ((\\z.z) ((\\z.z) ((\\z.z) y)))")
+    chain = analyze(dup, Strategy.peps(Fraction(3, 7)))
+    assert len(chain.states) > 1 and chain.expected_length is not None
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [20, 60])
@@ -432,11 +448,11 @@ def test_solve_rows_partial_absorption_synthetic():
 
 # the dense solver the component-by-component one replaced is the oracle
 
-ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7))
+SOLVER_ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7))
 
 
 def _assert_matches_dense_oracle(t):
-    for eps in ORACLE_EPS:
+    for eps in SOLVER_ORACLE_EPS:
         try:
             chain = explore_states(t, Strategy.peps(eps), state_cap=300)
         except StateCapExceeded:
@@ -488,6 +504,9 @@ def _synthetic_chain(spec):
 @example([{1: 1}, {0: 1, 2: 1}, {-1: 2, 3: 1}, {3: 1, 4: 1}, {3: 1}])  # 2-state SCCs, one closed
 @example([{1: 1, 2: 1}, {0: 1}, {-1: 1, 2: 1}])  # a cycle leading to sure absorption
 @example([{0: 1}])  # a closed class on its own
+@example([{0: 1, -1: 1}])  # one state with a self-loop, sure absorption
+@example([{0: 1, 1: 1, -1: 1}, {1: 1}])  # one state with a self-loop, h = 1/2
+@example([{0: 1, 1: 1}, {1: 1}])  # one state with a self-loop, no absorption
 @settings(max_examples=300, deadline=None)
 def test_solver_matches_dense_oracle_on_synthetic_chains(spec):
     states, rows = _synthetic_chain(spec)
