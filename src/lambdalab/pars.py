@@ -9,7 +9,10 @@ Each call below builds one graph and runs every eps it needs over it:
 * configuration evolution — a partial distribution over alpha-classes is
   pushed one step at a time; normal forms absorb, so their mass leaves the
   configuration and |rho_k| is the probability that a run takes k steps or
-  more (evolve is the graph-free reference for evolve_trace);
+  more (evolve is the graph-free reference for evolve_trace).  A row
+  weighs its targets by eps, 1 - eps or 1, so evolve_trace carries integer
+  masses over a power of eps.denominator and reduces them by gcds against
+  that small denominator, never against the big one;
 * the reachable-state chain — breadth-first closure of the start class
   under the strategy's rows, with every normal form collapsed into a single
   absorbing class ``trm``, solved exactly for the absorption probability
@@ -26,9 +29,10 @@ closed formulas for equality rather than tolerance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .strategies import Strategy, anf_successors, beta_successors
@@ -258,9 +262,19 @@ def evolve(config: Configuration, strategy: Strategy) -> Configuration:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """The mass sequence |rho_0|, ..., |rho_H| of an iterated evolution."""
+    """The mass sequence |rho_0|, ..., |rho_H| of an iterated evolution.
+
+    Every eps-row weighs its targets by eps, 1 - eps or 1, so a step's
+    common denominator is 1 or d = eps.denominator, and the mass at step i
+    is the integer N_i over d**s_i, where s_i counts the steps so far that
+    split some mass two ways.  unreduced keeps those (N_i, s_i) pairs, and
+    base keeps d, so the functions below can work in integers and reduce
+    each result once; neither takes part in equality.
+    """
 
     masses: tuple  # Fractions, length horizon + 1, masses[0] == 1
+    unreduced: tuple = field(compare=False, repr=False)  # (N_i, s_i) per step
+    base: int = field(compare=False, repr=False)  # d, eps's denominator
 
     @property
     def horizon(self) -> int:
@@ -271,61 +285,128 @@ class EvolutionTrace:
         return self.masses[-1]
 
 
+if sys.version_info >= (3, 12):
+    _coprime = Fraction._from_coprime_ints
+else:
+
+    def _coprime(n: int, den: int) -> Fraction:
+        return Fraction(n, den, _normalize=False)
+
+
+_REDUCE_ROUNDS = 3
+
+
+def _reduced(n: int, den: int, d: int) -> Fraction:
+    """n / den as a Fraction, for a den whose prime factors all divide d.
+
+    A factor that n shares with den then divides gcd(n, d, den), a gcd that
+    costs one pass over n and one over den because d is small, so each
+    round divides that gcd out of both and n / den is in lowest terms once
+    it is 1.  A mass of 0 or 1 is returned at once.  After _REDUCE_ROUNDS
+    rounds (n = d**(s-1) over d**s would take s - 1 of them) Fraction's own
+    gcd finishes the job.
+    """
+    if n == 0:
+        return _ZERO
+    if n == den:
+        return _ONE
+    for _ in range(_REDUCE_ROUNDS):
+        g = gcd(n, d, den)
+        if g == 1:
+            return _coprime(n, den)
+        n //= g
+        den //= g
+    return Fraction(n, den)
+
+
 def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     """Masses of the Dirac-started evolution, recorded up to the horizon.
 
-    Equivalent to iterating evolve(); internally the masses are carried as
-    integer numerators over one common denominator per step, which avoids
-    rational normalization in the inner loop at large horizons.
+    Equivalent to iterating evolve().  Each class keeps its successor ids,
+    and the masses are integer numerators over the running denominator
+    d**s, d = eps.denominator: a step weighs a two-way row's targets by
+    eps.numerator and d - eps.numerator and a one-way row's by d, and
+    multiplies the denominator by d, when some current class splits, and
+    moves every mass unweighted otherwise.  Each recorded mass is reduced
+    by gcds against the small d, not against the big denominator.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    eps = strategy.eps
+    a, d = eps.numerator, eps.denominator
+    b = d - a
     graph = StateGraph()
-    rows: dict[int, Optional[tuple]] = {}  # graph rows of the classes seen so far
+    rows: dict[int, Optional[tuple]] = {}  # successor ids, None for a normal form
     current: dict[int, int] = {graph.intern(t): 1}
-    denominator = 1
-    masses = [Fraction(1)]
+    s, den = 0, 1
+    unreduced = [(1, 0)]
+    masses = [_ONE]
     for _ in range(horizon):
-        step_den = 1
+        split = False
         for i in current:
             if i not in rows:
-                rows[i] = graph.row(i, strategy.eps)
-            if rows[i]:
-                step_den = lcm(step_den, *(p.denominator for _, p in rows[i]))
+                rows[i] = None if graph.is_normal(i) else graph.successors(i, eps)
+            split = split or (rows[i] is not None and len(rows[i]) == 2)
+        one_way = d if split else 1
         nxt: dict[int, int] = {}
         for i, m in current.items():
-            row = rows[i]
-            if row is None:
+            targets = rows[i]
+            if targets is None:
                 continue
-            for j, p in row:
-                weight = p.numerator * (step_den // p.denominator)
-                nxt[j] = nxt.get(j, 0) + m * weight
-        denominator *= step_den
+            if len(targets) == 2:
+                lo, ri = targets
+                nxt[lo] = nxt.get(lo, 0) + m * a
+                nxt[ri] = nxt.get(ri, 0) + m * b
+            else:
+                (j,) = targets
+                nxt[j] = nxt.get(j, 0) + m * one_way
+        if split:
+            s += 1
+            den *= d
         current = nxt
-        masses.append(Fraction(sum(current.values()), denominator))
-    return EvolutionTrace(tuple(masses))
+        n = sum(current.values())
+        unreduced.append((n, s))
+        masses.append(_reduced(n, den, d))
+    return EvolutionTrace(tuple(masses), tuple(unreduced), d)
 
 
 def derivation_length_dist(trace: EvolutionTrace) -> dict[int, Fraction]:
     """Pointwise mass drops: probability of terminating in exactly i steps.
 
     Zero entries are omitted; within the horizon the values sum, together
-    with the trailing mass, to exactly 1.
+    with the trailing mass, to exactly 1.  Each drop is taken between the
+    integer numerators over the later step's denominator d**s and reduced
+    once.
     """
     if len(trace.masses) < 2:
         raise ValueError("trace needs at least two entries")
+    d = trace.base
     out: dict[int, Fraction] = {}
-    for i in range(trace.horizon):
-        d = trace.masses[i] - trace.masses[i + 1]
-        if d != 0:
-            out[i] = d
+    den = 1
+    for i, ((n, s), (n_next, s_next)) in enumerate(
+        zip(trace.unreduced, trace.unreduced[1:])
+    ):
+        scale = d ** (s_next - s)
+        den *= scale
+        drop = n * scale - n_next
+        if drop:
+            out[i] = _reduced(drop, den, d)
     return out
 
 
 def expected_length_truncated(trace: EvolutionTrace) -> Fraction:
     """Partial sum of the step masses: a lower bound on the expected length,
-    exact whenever the trailing mass is zero."""
-    return sum(trace.masses[1:], Fraction(0))
+    exact whenever the trailing mass is zero.  The sum is taken over the
+    last step's denominator d**s by a Horner pass, which scales the running
+    numerator by d**(s_i - s_(i-1)) before adding N_i, and reduced once."""
+    d = trace.base
+    total, den, s = 0, 1, 0
+    for n, s_i in trace.unreduced[1:]:
+        scale = d ** (s_i - s)
+        total = total * scale + n
+        den *= scale
+        s = s_i
+    return _reduced(total, den, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -94,16 +95,98 @@ def test_evolve_trace_self_loop():
     assert list(evolve_trace(OMEGA2, HALF, 5).masses) == [1] * 6
 
 
+# eps 0 and 1 never split mass; 12 is a denominator with two primes
+TRACE_ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(5, 12))
+
+
 @given(terms)
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_evolve_trace_matches_iterated_evolve(t):
-    trace = evolve_trace(t, HALF, 5)
-    config = Configuration.dirac(t)
-    masses = [config.mass]
-    for _ in range(5):
-        config = evolve(config, HALF)
-        masses.append(config.mass)
-    assert list(trace.masses) == masses
+    for eps in TRACE_ORACLE_EPS:
+        strategy = Strategy.peps(eps)
+        trace = evolve_trace(t, strategy, 5)
+        config = Configuration.dirac(t)
+        masses = [config.mass]
+        for _ in range(5):
+            config = evolve(config, strategy)
+            masses.append(config.mass)
+        assert list(trace.masses) == masses, eps
+
+
+REDUCED_BASES = (1, 2, 6, 7, 12, 10**9 + 7)
+
+
+@st.composite
+def _over_power(draw):
+    """(n, d**s, d) with n often a multiple of a power of d, so that the
+    reduction takes several rounds or reaches its cap."""
+    d = draw(st.sampled_from(REDUCED_BASES))
+    s = draw(st.integers(0, 40))
+    den = d**s
+    n = draw(
+        st.one_of(
+            st.integers(0, 2 * den),
+            st.builds(lambda k, j: k * d**j, st.integers(0, 50), st.integers(0, s)),
+            st.just(den),
+        )
+    )
+    return n, den, d
+
+
+@given(_over_power())
+@example((0, 12**5, 12))
+@example((7**9, 7**9, 7))
+@example((5, 1, 6))
+@example((2**9, 2**10, 2))  # nine rounds' worth of factors: reaches the cap
+@example((6**4 * 4, 6**6, 6))
+def test_reduced_matches_fraction(case):
+    n, den, d = case
+    got = pars._reduced(n, den, d)
+    want = Fraction(n, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+
+
+def _counting_gcd(monkeypatch) -> list:
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(pars, "gcd", gcd)
+    return calls
+
+
+def test_reduced_falls_back_after_its_rounds(monkeypatch):
+    calls = _counting_gcd(monkeypatch)
+    assert pars._reduced(2**9, 2**10, 2) == Fraction(1, 2)
+    assert len(calls) == pars._REDUCE_ROUNDS
+
+
+SPLITTING = parse(r"(\x.(\y.y y)(\y.y y)) ((\z.z z)(\z.z z))")
+
+
+def test_splitting_term_keeps_mass_one_with_few_gcds(monkeypatch):
+    # LO steps to Omega and RI back to the term itself, so the running
+    # denominator grows by 3 every step while the mass stays 1
+    calls = _counting_gcd(monkeypatch)
+    horizon = 2000
+    trace = evolve_trace(SPLITTING, Strategy.peps(Fraction(1, 3)), horizon)
+    assert trace.masses == (1,) * (horizon + 1)
+    assert trace.unreduced[-1] == (3**horizon, horizon)
+    assert len(calls) <= 3 * horizon
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(5, 12)], ids=str)
+def test_integer_trace_sums_match_fraction_formulas(eps):
+    for entry in anchor_corpus():
+        trace = evolve_trace(entry.term, Strategy.peps(eps), 60)
+        masses = trace.masses
+        drops = {i: a - b for i, (a, b) in enumerate(zip(masses, masses[1:])) if a != b}
+        assert derivation_length_dist(trace) == drops, entry.term_id
+        assert expected_length_truncated(trace) == sum(masses[1:], Fraction(0)), entry.term_id
 
 
 @given(terms)
