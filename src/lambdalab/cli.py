@@ -11,12 +11,13 @@ across runs and platforms.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import laws as laws_mod
@@ -83,6 +84,36 @@ def parse_grid(text: str) -> list[Fraction]:
     return sorted(set(grid))
 
 
+def _json(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, indent=2) for dicts with str keys, lists,
+    str, int and None, the only types the CLI's payloads hold; any other
+    type raises TypeError.  indent is the prefix of obj's own line."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return repr(obj)
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_quote(key)}: {_json(value, inner)}")
+    elif kind is list:
+        if not obj:
+            return "[]"
+        items = [_json(value, inner) for value in obj]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    opening, closing = ("{", "}") if kind is dict else ("[", "]")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
@@ -140,7 +171,7 @@ def cmd_analyze(args) -> int:
             "guarantee assumes eps>0"
         )
     if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit(_json(report) + "\n", args.out)
         return EXIT_OK
     lines = [
         f"term: {term_id} = {report['origin']}",
@@ -234,7 +265,7 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         text = "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
     elif args.format == "json":
-        text = json.dumps(
+        text = _json(
             [
                 {
                     "term_id": r.term_id,
@@ -248,8 +279,7 @@ def cmd_sweep(args) -> int:
                     "foster_bound": "-" if r.foster_bound is None else frac_str(r.foster_bound),
                 }
                 for r in rows
-            ],
-            indent=2,
+            ]
         ) + "\n"
     else:
         header = f"{'epsilon':<10} {'expected':<14} {'decimal':<16} {'term.prob':<10} {'n_lo':<6} {'n_ri':<6} {'bound':<10}"
@@ -284,7 +314,7 @@ def cmd_montecarlo(args) -> int:
             "sample_variance": f"{est.sample_variance:.6f}",
             "confidence_halfwidth_95": f"{est.confidence_halfwidth_95:.6f}",
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload) + "\n", args.out)
         return EXIT_OK
     lines = [
         f"term: {term_id} = {render(t)}",
@@ -307,7 +337,7 @@ def cmd_laws(args) -> int:
         count=args.count,
     )
     if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2) + "\n", args.out)
+        _emit(_json([r.to_dict() for r in reports]) + "\n", args.out)
     else:
         lines = []
         for r in reports:
@@ -340,7 +370,10 @@ def cmd_repro(args) -> int:
 # parser
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     parser = _Parser(prog="lambdalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

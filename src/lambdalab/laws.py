@@ -305,8 +305,17 @@ def law_anf_equal_length(
     corpus_desc: str = "corpus",
     graph_cap: int = DEFAULT_GRAPH_CAP,
 ) -> LawReport:
-    """All maximal argument-normal reduction sequences from a term to its
-    normal form have the same length (diamond property consequence)."""
+    """Conjecture: all maximal argument-normal reduction sequences from a
+    term to its normal form have the same length.
+
+    It is false.  Argument-normal reduction has no diamond property:
+    substituting a normal argument into a variable-headed application such
+    as ``v0 c`` can create a redex, which makes another redex's argument
+    non-normal again.  The default corpora are too small to show it, but
+    ``(\\v0.(\\v1.c) (v0 c)) ((\\v2.v2) (\\v3.v3))`` has such paths of
+    lengths 2 and 3, and ``(\\v0.(\\v1.v1 v1 v1) (v0 v0)) (\\v2.v2)`` of
+    lengths 5 and 7, and each is reported as a counterexample.
+    """
     report = LawReport("anf_equal_length", corpus_desc)
     for entry in corpus:
         graph = StateGraph()

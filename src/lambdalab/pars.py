@@ -444,7 +444,15 @@ class ChainAnalysis:
         return self.graph.rep(i)
 
     def to_report(self) -> dict:
-        """JSON-ready report: rendered states, num/den transition triples."""
+        """JSON-ready report: rendered states, num/den transition triples.
+
+        Every state is rendered with one memo: a representative shares
+        subterms with the parent it was contracted from, and the graph keeps
+        every representative alive while the memo is in use.  The CLI
+        builds its parser once per process and writes this report through
+        its one JSON emitter, cli._json.
+        """
+        memo: dict = {}
         index = {i: n for n, i in enumerate(self.states)}
         transitions = []
         for i in self.states:
@@ -457,9 +465,9 @@ class ChainAnalysis:
                     }
                 )
         report = {
-            "origin": render(self.rep(self.origin)),
+            "origin": render(self.rep(self.origin), memo),
             "strategy": self.strategy_name,
-            "states": [render(self.rep(i)) for i in self.states],
+            "states": [render(self.rep(i), memo) for i in self.states],
             "absorbing": TRM,
             "transitions": transitions,
         }

@@ -14,6 +14,7 @@ from . import laws
 from .laws import DEFAULT_GRID, lo_normalizes
 from .montecarlo import estimate
 from .pars import (
+    EvolutionTrace,
     analyze,
     derivation_length_dist,
     evolve_trace,
@@ -245,6 +246,33 @@ def criterion_8(corpora=None) -> CriterionResult:
                            "\n".join(lines), elapsed)
 
 
+def _masses_increase(trace: EvolutionTrace) -> bool:
+    """Whether some mass N_(i+1) / d**s_(i+1) of the trace exceeds the one
+    before it, N_i / d**s_i, compared in integers by scaling N_i by
+    d**(s_(i+1) - s_i)."""
+    d = trace.base
+    return any(
+        n_next > n * d ** (s_next - s)
+        for (n, s), (n_next, s_next) in zip(trace.unreduced, trace.unreduced[1:])
+    )
+
+
+def _mass_conserved(drops: dict, trace: EvolutionTrace) -> bool:
+    """Whether the drops and the trailing mass sum to exactly 1.
+
+    Each reduced Fraction is lifted to the last common denominator d**s,
+    which its denominator must divide, and the numerators are summed, so a
+    wrongly reduced drop or mass still fails the check."""
+    den = trace.base ** trace.unreduced[-1][1]
+    total = 0
+    for mass in (*drops.values(), trace.trailing_mass):
+        scale, rest = divmod(den, mass.denominator)
+        if rest:
+            return False
+        total += mass.numerator * scale
+    return total == den
+
+
 def criterion_9() -> CriterionResult:
     """Evolution semantics: monotone masses, exact mass conservation, and
     series-vs-solver agreement at horizon 2000 below 1e-6."""
@@ -258,11 +286,10 @@ def criterion_9() -> CriterionResult:
             strategy = Strategy.peps(eps)
             trace = evolve_trace(entry.term, strategy, 2000)
             checked += 1
-            if any(a < b for a, b in zip(trace.masses, trace.masses[1:])):
+            if _masses_increase(trace):
                 problems.append(f"{entry.term_id} eps={eps}: masses increased")
                 continue
-            der = derivation_length_dist(trace)
-            if sum(der.values(), Fraction(0)) + trace.trailing_mass != 1:
+            if not _mass_conserved(derivation_length_dist(trace), trace):
                 problems.append(f"{entry.term_id} eps={eps}: mass not conserved")
                 continue
             termination, expected = solved[eps]

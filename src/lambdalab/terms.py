@@ -195,15 +195,30 @@ def parse(text: str) -> Term:
     return t
 
 
-def render(t: Term) -> str:
-    """Minimal-parentheses rendering; inverse of parse up to whitespace."""
+def render(t: Term, memo: Optional[dict] = None) -> str:
+    """Minimal-parentheses rendering; inverse of parse up to whitespace.
+
+    memo, when given, maps id(node) to the text of each abstraction and
+    application rendered with it, so a subterm that several terms share as
+    one object is rendered once.  An id names its node only while the node
+    is alive: a memo is valid only while every node rendered with it stays
+    reachable, and must be dropped with them.
+    """
     if isinstance(t, Var):
         return t.name
+    if memo is not None:
+        text = memo.get(id(t))
+        if text is not None:
+            return text
     if isinstance(t, Abs):
-        return f"\\{t.binder}.{render(t.body)}"
-    fn = f"({render(t.fn)})" if isinstance(t.fn, Abs) else render(t.fn)
-    arg = render(t.arg) if isinstance(t.arg, Var) else f"({render(t.arg)})"
-    return f"{fn} {arg}"
+        text = f"\\{t.binder}.{render(t.body, memo)}"
+    else:
+        fn = f"({render(t.fn, memo)})" if isinstance(t.fn, Abs) else render(t.fn, memo)
+        arg = render(t.arg, memo) if isinstance(t.arg, Var) else f"({render(t.arg, memo)})"
+        text = f"{fn} {arg}"
+    if memo is not None:
+        memo[id(t)] = text
+    return text
 
 
 def term_size(t: Term) -> int:

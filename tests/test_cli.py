@@ -6,7 +6,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 import lambdalab
 from lambdalab.cli import (
@@ -15,6 +17,7 @@ from lambdalab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SweepRow,
+    _json,
     fraction_to_decimal,
     main,
     resolve_term,
@@ -375,6 +378,60 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
 
 
 # ---------------------------------------------------------------------------
+# the JSON emitter and repeated calls of main in one process
+
+
+json_values = st.recursive(
+    st.none() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [{}], "": None})
+@example(["λ", "\"quoted\"", "back\\slash", "\x00\x1f\n\t\x7f", "\u2028", "\U0001d706"])
+@example({"λx.x": {"\\y": [-1, 0, 2**70, None]}})
+def test_json_emitter_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, True, False, [0, 2.0], {"k": True}, (1,), {1: "v"}])
+def test_json_emitter_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+REPEATED_MAIN_COMMANDS = (
+    ("analyze", "example2"),  # --eps missing: argparse's usage error
+    ("analyze", "example2", "--eps", "1/3", "--state-cap", "0"),
+    ("analyze", "example2", "--eps", "1/3", "--format", "json"),
+    ("analyze", "example2", "--eps", "1/3"),
+)
+
+
+def test_main_in_one_process_matches_fresh_processes(capsys):
+    src = str(Path(lambdalab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in REPEATED_MAIN_COMMANDS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lambdalab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+
+
+# ---------------------------------------------------------------------------
 # independence from Python's string hashing
 
 
@@ -457,3 +514,19 @@ def test_analyze_matches_golden_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_GOLDEN_DIGESTS[argv]
+
+
+MORE_ANALYZE_GOLDEN_DIGESTS = {  # SHA-256 of stdout: a chain_mn and a chain_dup job
+    ("analyze", "Mn:9", "--eps", "3/7", "--format", "json"):
+        "e91db9059a5a260a1070399153c8de0d668b95d8aa68cf93fbfc2e4f463e6c6d",
+    ("analyze", "(\\x.x x x x x x x x) ((\\z.z) ((\\z.z) ((\\z.z) (y))))", "--eps", "4/7",
+     "--format", "json"):
+        "240bbb2945c0a02127bcfca86f09501f244a3d0fc98a041e0ffbab784ea925e1",
+}
+
+
+@pytest.mark.parametrize("argv", MORE_ANALYZE_GOLDEN_DIGESTS, ids=["mn", "dup"])
+def test_more_analyze_matches_golden_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MORE_ANALYZE_GOLDEN_DIGESTS[argv]

@@ -91,6 +91,25 @@ def test_law_anf_equal_length_passes(small_corpora):
     assert report.passed and report.inconclusive == 0
 
 
+# Counterexamples to the anf_equal_length conjecture: the full calculus at
+# size cap 20, lambda-A at size cap 26 and lambda-I at size cap 34.
+ANF_COUNTEREXAMPLES = {
+    "(\\v0.(\\v1.(\\v2.\\v3.a) a) (v0 b)) ((\\v4.v4) (\\v5.c))": [2, 3],
+    "(\\v0.(\\v1.c) (v0 c)) ((\\v2.v2) (\\v3.v3))": [2, 3],
+    "(\\v0.(\\v1.v1 v1 v1) (v0 v0)) (\\v2.v2)": [5, 7],
+}
+
+
+def test_law_anf_equal_length_is_refuted():
+    corpus = [CorpusTerm(text, parse(text)) for text in ANF_COUNTEREXAMPLES]
+    report = law_anf_equal_length(corpus)
+    assert (report.cases_run, report.cases_passed, report.inconclusive) == (3, 0, 0)
+    assert [(ce["term"], ce["detail"]) for ce in report.counterexamples] == [
+        (text, f"path lengths {lengths} from one state")
+        for text, lengths in ANF_COUNTEREXAMPLES.items()
+    ]
+
+
 def test_law_subcalculus_stability_passes(small_corpora):
     report = law_subcalculus_stability(
         {"lambda-I": small_corpora["lambda-I"], "lambda-A": small_corpora["lambda-A"]}

@@ -411,6 +411,36 @@ def test_analyze_builds_no_representative(monkeypatch):
     assert len(calls) == len(chain.states) - 1
 
 
+@pytest.mark.parametrize(
+    "t",
+    [mk_Mn(9), parse("(\\x.x x x x x x x x) ((\\z.z) ((\\z.z) ((\\z.z) y)))")],
+    ids=["Mn:9", "dup"],
+)
+def test_one_render_memo_over_a_chain_gives_fresh_renders(t):
+    chain = analyze(t, Strategy.peps(Fraction(3, 7)))
+    memo: dict = {}
+    shared = [render(chain.rep(i), memo) for i in chain.states]
+    assert shared == [render(chain.rep(i)) for i in chain.states]
+    assert chain.to_report()["states"] == shared
+    inner_nodes = sum(_inner_nodes(chain.rep(i)) for i in chain.states)
+    assert len(memo) < inner_nodes  # representatives do share subterms
+
+
+def _inner_nodes(t) -> int:
+    """Abstractions and applications in t, a shared one once per path to it."""
+    stack, count = [t], 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            stack += [node.fn, node.arg]
+        elif not isinstance(node, Var):
+            stack.append(node.body)
+        else:
+            continue
+        count += 1
+    return count
+
+
 def test_one_state_components_skip_elimination(monkeypatch):
     solve_linear = pars._solve_linear
     calls = []
