@@ -5,8 +5,10 @@ reports itself inconclusive when an enumeration cap was hit.
 Brute-force oracles work on the alpha-class reduction graph: breadth-first
 closure of a StateGraph under all one-step reducts (or all argument-normal
 reducts), with explicit state caps so blow-ups surface as inconclusive
-counts instead of hangs.  A law never passes vacuously because of a cap:
-cap hits are reported separately from passes.
+counts instead of hangs.  Each law is a per-term check, and one verdict
+loop, _check, runs it over a corpus and keeps the counts.  A law never
+passes vacuously because of a cap: cap hits and exhausted fuel are
+reported separately from passes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional
 
-from .pars import DEFAULT_STATE_CAP, StateCapExceeded, StateGraph, grid_expected_lengths, sccs
+from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, sccs
 from .strategies import beta_successors, n_steps, walk
 from .terms import (
     SubCalculus,
@@ -79,25 +81,6 @@ class LawReport:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def record_pass(self) -> None:
-        self.cases_run += 1
-        self.cases_passed += 1
-
-    def record_inconclusive(self) -> None:
-        self.cases_run += 1
-        self.inconclusive += 1
-
-    def record_failure(self, entry: CorpusTerm, detail: str) -> None:
-        self.cases_run += 1
-        self.counterexamples.append(
-            {
-                "term_id": entry.term_id,
-                "term": render(entry.term),
-                "seed": entry.seed,
-                "detail": detail,
-            }
-        )
-
     def to_dict(self) -> dict:
         return {
             "law": self.law_id,
@@ -117,24 +100,55 @@ class LawReport:
         )
 
 
+class _Inconclusive(Exception):
+    """A check ran out of fuel before it could decide."""
+
+
+Check = Callable[[Term], Optional[str]]  # None on pass, else the counterexample's detail
+
+
+def _check(report: LawReport, corpus: list[CorpusTerm], check: Check) -> LawReport:
+    """Run check on every corpus term and record its verdict in report: a
+    pass, a counterexample, or an inconclusive case when the check hit a
+    state cap or ran out of fuel."""
+    for entry in corpus:
+        report.cases_run += 1
+        try:
+            detail = check(entry.term)
+        except (StateCapExceeded, _Inconclusive):
+            report.inconclusive += 1
+            continue
+        if detail is None:
+            report.cases_passed += 1
+        else:
+            report.counterexamples.append(
+                {
+                    "term_id": entry.term_id,
+                    "term": render(entry.term),
+                    "seed": entry.seed,
+                    "detail": detail,
+                }
+            )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # corpora
 
 
-def anchor_corpus(max_n: int = 5) -> list[CorpusTerm]:
+def anchor_corpus() -> list[CorpusTerm]:
     """The fixed anchor terms: named combinators plus both example families."""
-    entries = [
-        CorpusTerm("I", mk_I()),
-        CorpusTerm("omega", mk_omega()),
-        CorpusTerm("Omega", mk_Omega()),
-        CorpusTerm("example1", mk_example1()),
-        CorpusTerm("example2", mk_example2()),
-    ]
-    for n in range(1, max_n + 1):
-        entries.append(CorpusTerm(f"Cn:{n}", mk_Cn(n)))
-    for n in range(1, max_n + 1):
-        entries.append(CorpusTerm(f"Mn:{n}", mk_Mn(n)))
-    return entries
+    return (
+        [
+            CorpusTerm("I", mk_I()),
+            CorpusTerm("omega", mk_omega()),
+            CorpusTerm("Omega", mk_Omega()),
+            CorpusTerm("example1", mk_example1()),
+            CorpusTerm("example2", mk_example2()),
+        ]
+        + [CorpusTerm(f"Cn:{n}", mk_Cn(n)) for n in range(1, 6)]
+        + [CorpusTerm(f"Mn:{n}", mk_Mn(n)) for n in range(1, 6)]
+    )
 
 
 def lo_normalizes(t: Term, fuel: int) -> Optional[int]:
@@ -178,7 +192,6 @@ def default_corpora(
     base_seed: int = DEFAULT_CORPUS_SEED,
     size_cap: int = DEFAULT_CORPUS_SIZE_CAP,
     count: int = DEFAULT_CORPUS_COUNT,
-    wn_fuel: int = DEFAULT_WN_FUEL,
 ) -> dict[str, list[CorpusTerm]]:
     """The default law corpora: anchor terms plus seeded random terms per
     sub-calculus (the lambda-I corpus is WN-certified by construction)."""
@@ -186,7 +199,7 @@ def default_corpora(
         "anchor": anchor_corpus(),
         "full": random_corpus(SubCalculus.FULL, count, base_seed, size_cap),
         "lambda-I": random_corpus(
-            SubCalculus.LAMBDA_I, count, base_seed, size_cap, require_wn_fuel=wn_fuel
+            SubCalculus.LAMBDA_I, count, base_seed, size_cap, require_wn_fuel=DEFAULT_WN_FUEL
         ),
         "lambda-A": random_corpus(SubCalculus.LAMBDA_A, count, base_seed, size_cap),
     }
@@ -199,13 +212,10 @@ def default_corpora(
 Edges = Callable[[int], tuple]  # class id -> successor ids, e.g. StateGraph.beta
 
 
-def _closure(graph: StateGraph, t: Term, edges: Edges, state_cap: int) -> Optional[list]:
-    """Class ids reachable from t under edges in breadth-first order, or
-    None when more than state_cap classes were discovered."""
-    try:
-        return graph.closure(graph.intern(t), edges, state_cap)
-    except StateCapExceeded:
-        return None
+def _closure(graph: StateGraph, t: Term, edges: Edges) -> list:
+    """Class ids reachable from t under edges in breadth-first order.
+    Raises StateCapExceeded past DEFAULT_GRAPH_CAP classes."""
+    return graph.closure(graph.intern(t), edges, DEFAULT_GRAPH_CAP)
 
 
 def _adjacency(order: list, edges: Edges) -> list[list[int]]:
@@ -263,48 +273,39 @@ def _shortest_to_nf(order: list, edges: Edges) -> Optional[int]:
     return None
 
 
+def _n_lo(t: Term) -> int:
+    """N_LO(t); raises _Inconclusive when DEFAULT_WN_FUEL runs out first."""
+    count = n_steps(t, "lo", DEFAULT_WN_FUEL)
+    if not count.finite:
+        raise _Inconclusive
+    return count.steps
+
+
 # ---------------------------------------------------------------------------
 # the laws
 
 
-def law_lo_monotone(
-    corpus: list[CorpusTerm],
-    corpus_desc: str = "corpus",
-    fuel: int = DEFAULT_WN_FUEL,
-) -> LawReport:
+def law_lo_monotone(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> LawReport:
     """One-step reducts never increase the LO derivation length.
 
     Checked for every fuel-verified weakly normalizing corpus term against
-    every one-step reduct (any redex, not just strategy redexes).
+    every one-step reduct (any redex, not just strategy redexes); a reduct
+    whose LO reduction runs out of fuel is a counterexample.
     """
-    report = LawReport("lo_monotone", corpus_desc)
-    for entry in corpus:
-        count = n_steps(entry.term, "lo", fuel)
-        if not count.finite:
-            report.record_inconclusive()
-            continue
-        ok = True
-        for p in redexes(entry.term):
-            u = reduce_at(entry.term, p)
-            reduct_count = n_steps(u, "lo", fuel)
-            if not reduct_count.finite or reduct_count.steps > count.steps:
-                report.record_failure(
-                    entry,
-                    f"reduct {render(u)} has N_LO "
-                    f"{reduct_count} > {count.steps}",
-                )
-                ok = False
-                break
-        if ok:
-            report.record_pass()
-    return report
+
+    def check(t: Term) -> Optional[str]:
+        steps = _n_lo(t)
+        for p in redexes(t):
+            u = reduce_at(t, p)
+            reduct_count = n_steps(u, "lo", DEFAULT_WN_FUEL)
+            if not reduct_count.finite or reduct_count.steps > steps:
+                return f"reduct {render(u)} has N_LO {reduct_count} > {steps}"
+        return None
+
+    return _check(LawReport("lo_monotone", corpus_desc), corpus, check)
 
 
-def law_anf_equal_length(
-    corpus: list[CorpusTerm],
-    corpus_desc: str = "corpus",
-    graph_cap: int = DEFAULT_GRAPH_CAP,
-) -> LawReport:
+def law_anf_equal_length(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> LawReport:
     """Conjecture: all maximal argument-normal reduction sequences from a
     term to its normal form have the same length.
 
@@ -316,136 +317,100 @@ def law_anf_equal_length(
     lengths 2 and 3, and ``(\\v0.(\\v1.v1 v1 v1) (v0 v0)) (\\v2.v2)`` of
     lengths 5 and 7, and each is reported as a counterexample.
     """
-    report = LawReport("anf_equal_length", corpus_desc)
-    for entry in corpus:
+
+    def check(t: Term) -> Optional[str]:
         graph = StateGraph()
-        order = _closure(graph, entry.term, graph.anf, graph_cap)
-        if order is None:
-            report.record_inconclusive()
-            continue
-        status, _, detail = _unique_length_to_nf(order, graph.anf)
-        if status == "ok":
-            report.record_pass()
-        else:
-            report.record_failure(entry, detail)
-    return report
+        status, _, detail = _unique_length_to_nf(_closure(graph, t, graph.anf), graph.anf)
+        return None if status == "ok" else detail
+
+    return _check(LawReport("anf_equal_length", corpus_desc), corpus, check)
 
 
-def law_subcalculus_stability(
-    corpora: dict[str, list[CorpusTerm]],
-    graph_cap: int = DEFAULT_GRAPH_CAP,
-) -> LawReport:
+def law_subcalculus_stability(corpora: dict[str, list[CorpusTerm]]) -> LawReport:
     """Closure of the binder-occurrence sub-calculi under reduction.
 
     lambda-I terms stay lambda-I with unchanged free variables; lambda-A
     terms stay lambda-A and are strongly normalizing (their full reduction
     graph is finite and acyclic under the cap).
     """
-    report = LawReport("subcalculus_stability", "lambda-I and lambda-A corpora")
-    for entry in corpora.get("lambda-I", []):
-        if not is_lambda_I(entry.term):
-            report.record_failure(entry, "corpus term is not lambda-I")
-            continue
-        fv = free_vars(entry.term)
-        bad = None
-        for u in beta_successors(entry.term):
+
+    def check_lambda_i(t: Term) -> Optional[str]:
+        if not is_lambda_I(t):
+            return "corpus term is not lambda-I"
+        fv = free_vars(t)
+        for u in beta_successors(t):
             if not is_lambda_I(u):
-                bad = f"reduct {render(u)} left lambda-I"
-                break
+                return f"reduct {render(u)} left lambda-I"
             if free_vars(u) != fv:
-                bad = f"reduct {render(u)} changed free variables"
-                break
-        if bad:
-            report.record_failure(entry, bad)
-        else:
-            report.record_pass()
-    for entry in corpora.get("lambda-A", []):
-        if not is_lambda_A(entry.term):
-            report.record_failure(entry, "corpus term is not lambda-A")
-            continue
-        bad = None
-        for u in beta_successors(entry.term):
+                return f"reduct {render(u)} changed free variables"
+        return None
+
+    def check_lambda_a(t: Term) -> Optional[str]:
+        if not is_lambda_A(t):
+            return "corpus term is not lambda-A"
+        for u in beta_successors(t):
             if not is_lambda_A(u):
-                bad = f"reduct {render(u)} left lambda-A"
-                break
-        if bad:
-            report.record_failure(entry, bad)
-            continue
+                return f"reduct {render(u)} left lambda-A"
         graph = StateGraph()
-        order = _closure(graph, entry.term, graph.beta, graph_cap)
-        if order is None:
-            report.record_inconclusive()
-            continue
-        if not _acyclic(order, graph.beta):
-            report.record_failure(entry, "reduction graph has a cycle (not SN)")
-        else:
-            report.record_pass()
-    return report
+        if not _acyclic(_closure(graph, t, graph.beta), graph.beta):
+            return "reduction graph has a cycle (not SN)"
+        return None
+
+    report = LawReport("subcalculus_stability", "lambda-I and lambda-A corpora")
+    _check(report, corpora.get("lambda-I", []), check_lambda_i)
+    return _check(report, corpora.get("lambda-A", []), check_lambda_a)
 
 
 def law_lambdaA_lo_optimal(
-    corpus: list[CorpusTerm],
-    corpus_desc: str = "lambda-A corpus",
-    fuel: int = DEFAULT_WN_FUEL,
-    graph_cap: int = DEFAULT_GRAPH_CAP,
+    corpus: list[CorpusTerm], corpus_desc: str = "lambda-A corpus"
 ) -> LawReport:
     """On lambda-A terms no reduction sequence to normal form is shorter
     than the LO one (exhaustive shortest path against N_LO)."""
-    report = LawReport("lambdaA_lo_optimal", corpus_desc)
-    for entry in corpus:
-        count = n_steps(entry.term, "lo", fuel)
-        if not count.finite:
-            report.record_inconclusive()
-            continue
+
+    def check(t: Term) -> Optional[str]:
+        steps = _n_lo(t)
         graph = StateGraph()
-        order = _closure(graph, entry.term, graph.beta, graph_cap)
-        if order is None:
-            report.record_inconclusive()
-            continue
-        shortest = _shortest_to_nf(order, graph.beta)
+        shortest = _shortest_to_nf(_closure(graph, t, graph.beta), graph.beta)
         if shortest is None:
-            report.record_failure(entry, "no reduction sequence reaches normal form")
-        elif count.steps > shortest:
-            report.record_failure(
-                entry, f"N_LO {count.steps} > shortest sequence {shortest}"
-            )
-        else:
-            report.record_pass()
-    return report
+            return "no reduction sequence reaches normal form"
+        if steps > shortest:
+            return f"N_LO {steps} > shortest sequence {shortest}"
+        return None
+
+    return _check(LawReport("lambdaA_lo_optimal", corpus_desc), corpus, check)
 
 
 def law_lambdaI_anf_optimal(
-    corpus: list[CorpusTerm],
-    corpus_desc: str = "lambda-I WN corpus",
-    graph_cap: int = DEFAULT_GRAPH_CAP,
+    corpus: list[CorpusTerm], corpus_desc: str = "lambda-I WN corpus"
 ) -> LawReport:
-    """On weakly normalizing lambda-I terms the (unique) argument-normal
-    derivation length is minimal among all reduction sequences."""
-    report = LawReport("lambdaI_anf_optimal", corpus_desc)
-    for entry in corpus:
+    """On weakly normalizing lambda-I terms every argument-normal reduction
+    to normal form has one length, and it is minimal among all reduction
+    sequences.
+
+    Uniqueness is checked, not assumed: a term with two argument-normal
+    paths of different lengths, such as
+    ``(\\v0.(\\v1.v1 v1 v1) (v0 v0)) (\\v2.v2)`` (lengths 5 and 7), is
+    reported as a counterexample.  Both closures are built before the term
+    is judged, so a cap hit on the full one leaves it inconclusive.
+    """
+
+    def check(t: Term) -> Optional[str]:
         graph = StateGraph()
-        anf_order = _closure(graph, entry.term, graph.anf, graph_cap)
-        full_order = _closure(graph, entry.term, graph.beta, graph_cap)
-        if anf_order is None or full_order is None:
-            report.record_inconclusive()
-            continue
+        anf_order = _closure(graph, t, graph.anf)
+        full_order = _closure(graph, t, graph.beta)
         status, anf_len, detail = _unique_length_to_nf(anf_order, graph.anf)
         if status != "ok":
-            report.record_failure(entry, f"argument-normal lengths not unique: {detail}")
-            continue
+            return f"argument-normal lengths not unique: {detail}"
         if anf_len is None:
-            report.record_failure(entry, "argument-normal reduction reaches no normal form")
-            continue
+            return "argument-normal reduction reaches no normal form"
         shortest = _shortest_to_nf(full_order, graph.beta)
         if shortest is None:
-            report.record_failure(entry, "no reduction sequence reaches normal form")
-        elif anf_len > shortest:
-            report.record_failure(
-                entry, f"argument-normal length {anf_len} > shortest sequence {shortest}"
-            )
-        else:
-            report.record_pass()
-    return report
+            return "no reduction sequence reaches normal form"
+        if anf_len > shortest:
+            return f"argument-normal length {anf_len} > shortest sequence {shortest}"
+        return None
+
+    return _check(LawReport("lambdaI_anf_optimal", corpus_desc), corpus, check)
 
 
 def law_eps_minimum(
@@ -453,75 +418,44 @@ def law_eps_minimum(
     minimum_at: Fraction,
     corpus_desc: str = "corpus",
     grid=GRID_WITH_ZERO,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LawReport:
     """The expected derivation length over the eps grid attains its minimum
     at the stated endpoint (1 for lambda-A corpora, 0 for lambda-I ones)."""
     minimum_at = Fraction(minimum_at)
-    report = LawReport(f"eps_minimum_at_{minimum_at}", corpus_desc)
-    for entry in corpus:
-        try:
-            solved = grid_expected_lengths(entry.term, grid, state_cap)
-        except StateCapExceeded:
-            report.record_inconclusive()
-            continue
-        expected = {eps: e for eps, (_, e) in solved.items()}
+
+    def check(t: Term) -> Optional[str]:
+        expected = {eps: e for eps, (_, e) in grid_expected_lengths(t, grid).items()}
         if any(e is None for e in expected.values()):
-            divergent = ", ".join(
-                str(eps) for eps in sorted(expected) if expected[eps] is None
-            )
-            report.record_failure(
-                entry, f"no finite expected length at eps in {{{divergent}}}"
-            )
-            continue
+            divergent = ", ".join(str(eps) for eps in sorted(expected) if expected[eps] is None)
+            return f"no finite expected length at eps in {{{divergent}}}"
         best = min(expected.values())
         if expected[minimum_at] != best:
             table = ", ".join(f"{eps}: {expected[eps]}" for eps in sorted(expected))
-            report.record_failure(
-                entry,
-                f"minimum {best} not attained at eps={minimum_at} ({table})",
-            )
-        else:
-            report.record_pass()
-    return report
+            return f"minimum {best} not attained at eps={minimum_at} ({table})"
+        return None
+
+    return _check(LawReport(f"eps_minimum_at_{minimum_at}", corpus_desc), corpus, check)
 
 
-def law_foster(
-    corpus: list[CorpusTerm],
-    corpus_desc: str = "corpus",
-    grid=DEFAULT_GRID,
-    fuel: int = DEFAULT_WN_FUEL,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> LawReport:
+def law_foster(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> LawReport:
     """Expected length <= N_LO/eps on every fuel-verified WN corpus term
-    for every grid eps > 0."""
-    report = LawReport("foster_bound", corpus_desc)
-    positive = [Fraction(e) for e in grid if e > 0]
-    for entry in corpus:
-        n_lo = lo_normalizes(entry.term, fuel)
+    for every eps of DEFAULT_GRID (all of them positive)."""
+
+    def check(t: Term) -> Optional[str]:
+        n_lo = lo_normalizes(t, DEFAULT_WN_FUEL)
         if n_lo is None:
-            report.record_inconclusive()
-            continue
-        try:
-            solved = grid_expected_lengths(entry.term, positive, state_cap)
-        except StateCapExceeded:
-            report.record_inconclusive()
-            continue
-        bad = None
-        for eps in positive:
+            raise _Inconclusive
+        solved = grid_expected_lengths(t, DEFAULT_GRID)
+        for eps in DEFAULT_GRID:
             termination, expected = solved[eps]
             bound = Fraction(n_lo) / eps
             if expected is None:
-                bad = f"eps={eps}: termination probability {termination} < 1"
-                break
+                return f"eps={eps}: termination probability {termination} < 1"
             if expected > bound:
-                bad = f"eps={eps}: expected {expected} > bound {bound}"
-                break
-        if bad:
-            report.record_failure(entry, bad)
-        else:
-            report.record_pass()
-    return report
+                return f"eps={eps}: expected {expected} > bound {bound}"
+        return None
+
+    return _check(LawReport("foster_bound", corpus_desc), corpus, check)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +482,6 @@ def run_suite(
     base_seed: int = DEFAULT_CORPUS_SEED,
     size_cap: int = DEFAULT_CORPUS_SIZE_CAP,
     count: int = DEFAULT_CORPUS_COUNT,
-    fuel: int = DEFAULT_WN_FUEL,
-    graph_cap: int = DEFAULT_GRAPH_CAP,
     corpora: Optional[dict] = None,
 ) -> list[LawReport]:
     """Run one law (by id), the "core" five, or all of them.
@@ -568,26 +500,22 @@ def run_suite(
     mixed_desc = f"anchor + 3x{count} random terms (size<={size_cap}, seed {base_seed})"
     lambda_i = [e for e in anchor if is_lambda_I(e.term)] + corpora["lambda-I"]
     lambda_a = [e for e in anchor if is_lambda_A(e.term)] + corpora["lambda-A"]
-    wn_lambda_i = [e for e in lambda_i if lo_normalizes(e.term, fuel) is not None]
+    wn_lambda_i = [e for e in lambda_i if lo_normalizes(e.term, DEFAULT_WN_FUEL) is not None]
 
     reports = []
     if "lo_monotone" in wanted:
-        reports.append(law_lo_monotone(mixed, mixed_desc, fuel))
+        reports.append(law_lo_monotone(mixed, mixed_desc))
     if "anf_equal_length" in wanted:
-        reports.append(law_anf_equal_length(mixed, mixed_desc, graph_cap))
+        reports.append(law_anf_equal_length(mixed, mixed_desc))
     if "subcalculus_stability" in wanted:
-        reports.append(
-            law_subcalculus_stability(
-                {"lambda-I": lambda_i, "lambda-A": lambda_a}, graph_cap
-            )
-        )
+        reports.append(law_subcalculus_stability({"lambda-I": lambda_i, "lambda-A": lambda_a}))
     if "lambdaA_lo_optimal" in wanted:
-        reports.append(law_lambdaA_lo_optimal(lambda_a, "lambda-A corpus", fuel, graph_cap))
+        reports.append(law_lambdaA_lo_optimal(lambda_a, "lambda-A corpus"))
     if "lambdaI_anf_optimal" in wanted:
-        reports.append(law_lambdaI_anf_optimal(wn_lambda_i, "lambda-I WN corpus", graph_cap))
+        reports.append(law_lambdaI_anf_optimal(wn_lambda_i, "lambda-I WN corpus"))
     if "eps_minimum" in wanted:
         reports.append(law_eps_minimum(lambda_a, Fraction(1), "lambda-A corpus"))
         reports.append(law_eps_minimum(wn_lambda_i, Fraction(0), "lambda-I WN corpus"))
     if "foster" in wanted:
-        reports.append(law_foster(mixed, mixed_desc, DEFAULT_GRID, fuel))
+        reports.append(law_foster(mixed, mixed_desc))
     return reports

@@ -74,12 +74,13 @@ _UNCOMPILED = object()  # table slot of a class whose row is not compiled yet
 
 
 class _Sampler:
-    """A strategy's rows on one StateGraph, compiled lazily into exact
-    integer sampling tables indexed by class id.
+    """A strategy's successors on one StateGraph, compiled lazily into
+    exact integer sampling tables indexed by class id.
 
     A table is None for a normal form, the successor id when no draw is
-    needed, and (den, cut, lo, ri) otherwise: a uniform draw below den
-    selects the LO-successor lo when it is below cut, else ri.
+    needed, and (den, cut, lo, ri) otherwise, with cut/den = eps in lowest
+    terms: a uniform draw below den selects the LO-successor lo when it is
+    below cut, else ri.
     """
 
     def __init__(self, t: Term, strategy: Strategy):
@@ -89,14 +90,14 @@ class _Sampler:
         self.tables: list = [_UNCOMPILED] * len(self.graph.forms)
 
     def _compile(self, i: int):
-        row = self.graph.row(i, self.eps)
-        if row is None:
+        if self.graph.is_normal(i):
             table = None
-        elif len(row) == 1:
-            table = row[0][0]
         else:
-            (lo, p), (ri, _) = row
-            table = (p.denominator, p.numerator, lo, ri)
+            targets = self.graph.successors(i, self.eps)
+            if len(targets) == 1:
+                table = targets[0]
+            else:
+                table = (self.eps.denominator, self.eps.numerator) + targets
         self.tables[i] = table
         self.tables += [_UNCOMPILED] * (len(self.graph.forms) - len(self.tables))
         return table

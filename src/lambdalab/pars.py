@@ -74,18 +74,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _mixture(targets: tuple, weights: tuple) -> tuple:
-    """The eps-mixture's row over the targets that successors(i, eps) lists,
-    or over their images with normal forms collapsed into TRM: the one
-    target with probability 1, else (LO, eps) and (RI, 1 - eps) with
-    weights = (eps, 1 - eps).  Two targets stay distinct under the collapse:
-    they come from two different redexes, and the RI step leaves the LO
-    redex in place, so the RI target is never normal."""
-    if len(targets) == 1:
-        return ((targets[0], _ONE),)
-    return tuple(zip(targets, weights))
-
-
 class StateGraph:
     """Alpha-classes interned to int ids in discovery order.
 
@@ -97,7 +85,7 @@ class StateGraph:
     or 1 discovers only the classes it reaches and no reduct is
     canonicalised; representatives are built only when asked for.
     successors(i, eps) lists the ids the eps-mixture can step to, which is
-    all a closure needs; row(i, eps) and chain_rows weigh them.
+    all a closure or a sampler needs; chain_rows weighs them.
     All-beta and argument-normal successor ids, which the laws need, are
     computed on demand too.
     """
@@ -173,22 +161,18 @@ class StateGraph:
         ri = self._successor(i, 1)
         return (lo,) if lo == ri else (lo, ri)
 
-    def row(self, i: int, eps: Fraction) -> Optional[tuple]:
-        """((successor id, probability), ...) of the eps-mixture from class
-        i: (LO, eps) then (RI, 1 - eps), zero weights dropped and equal
-        targets merged.  None iff the class is a normal form."""
-        if self.is_normal(i):
-            return None
-        return _mixture(self.successors(i, eps), (eps, 1 - eps))
-
     def chain_rows(self, states: Iterable[int], eps: Fraction) -> dict:
-        """row(i, eps) of each reducible class i in states, with every
-        normal-form target collapsed into TRM."""
+        """The eps-mixture's row ((successor id, probability), ...) from
+        each reducible class i in states, with every normal-form target
+        collapsed into TRM: the one target with probability 1, else
+        (LO, eps) then (RI, 1 - eps).  Two targets stay distinct under the
+        collapse: they come from two different redexes, and the RI step
+        leaves the LO redex in place, so the RI target is never normal."""
         weights = (eps, 1 - eps)
         rows = {}
         for i in states:
             targets = tuple(TRM if self.is_normal(j) else j for j in self.successors(i, eps))
-            rows[i] = _mixture(targets, weights)
+            rows[i] = ((targets[0], _ONE),) if len(targets) == 1 else tuple(zip(targets, weights))
         return rows
 
     def beta(self, i: int) -> tuple:

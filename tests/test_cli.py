@@ -22,7 +22,8 @@ from lambdalab.cli import (
     main,
     resolve_term,
 )
-from lambdalab.terms import mk_Cn, mk_Mn, mk_Omega, parse
+from lambdalab.laws import anchor_corpus, random_corpus
+from lambdalab.terms import SubCalculus, canonicalize, mk_Cn, mk_Mn, mk_Omega, parse, render
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +128,35 @@ def test_reduce_peps_seeded_trace_deterministic(capsys):
     assert code == EXIT_OK
     code, second = run_cli(capsys, "reduce", "example2", "--strategy", "peps:1/2", "--seed", "4")
     assert first == second
+
+
+# a cycle whose LO reduct renames a binder: lo prints the reduct, peps:1/1
+# the class's first-found representative, the term itself
+RENAMING_CYCLE = "a ((\\v0.v0 v0) (\\v1.v1 v1))"
+
+
+def _reduce_lines(capsys, text, strategy, fuel):
+    code, out = run_cli(capsys, "reduce", text, "--strategy", strategy, "--fuel", str(fuel))
+    return code, out.splitlines()
+
+
+def test_reduce_endpoints_agree_with_lo_and_ri_up_to_alpha(capsys):
+    texts = [RENAMING_CYCLE] + [e.term_id for e in anchor_corpus()]
+    texts += [render(e.term) for e in random_corpus(SubCalculus.FULL, count=300)]
+    renamed = []
+    for text in texts:
+        for fuel in (0, 3, 40):
+            for named, mixture in (("lo", "peps:1/1"), ("ri", "peps:0/1")):
+                code, lines = _reduce_lines(capsys, text, named, fuel)
+                mix_code, mix_lines = _reduce_lines(capsys, text, mixture, fuel)
+                assert code == mix_code and len(lines) == len(mix_lines), (text, named, fuel)
+                assert lines[-1] == mix_lines[-1]
+                for a, b in zip(lines[:-1], mix_lines[:-1]):
+                    a, b = a.removeprefix("-> "), b.removeprefix("-> ")
+                    assert canonicalize(parse(a)) == canonicalize(parse(b)), (text, named, fuel)
+                if lines != mix_lines:
+                    renamed.append((text, named, fuel))
+    assert (RENAMING_CYCLE, "lo", 3) in renamed
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from lambdalab.laws import (
     CorpusTerm,
+    DEFAULT_GRAPH_CAP,
     DEFAULT_GRID,
     GRID_WITH_ZERO,
     LawReport,
@@ -108,6 +109,37 @@ def test_law_anf_equal_length_is_refuted():
         (text, f"path lengths {lengths} from one state")
         for text, lengths in ANF_COUNTEREXAMPLES.items()
     ]
+
+
+def test_law_lambdaI_anf_optimal_reports_non_unique_length():
+    # the lambda-I counterexample above: uniqueness is checked, not assumed
+    text = "(\\v0.(\\v1.v1 v1 v1) (v0 v0)) (\\v2.v2)"
+    report = law_lambdaI_anf_optimal([CorpusTerm(text, parse(text))])
+    assert (report.cases_run, report.cases_passed, report.inconclusive) == (1, 0, 0)
+    assert [ce["detail"] for ce in report.counterexamples] == [
+        "argument-normal lengths not unique: path lengths [5, 7] from one state"
+    ]
+
+
+# ten independent identity redexes: 2**10 beta-classes, past DEFAULT_GRAPH_CAP
+WIDE = CorpusTerm("wide", parse("a" + " ((\\x.x) b)" * 10))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        law_anf_equal_length,
+        law_lambdaI_anf_optimal,
+        law_lambdaA_lo_optimal,
+        lambda corpus: law_subcalculus_stability({"lambda-A": corpus}),
+    ],
+    ids=["anf_equal_length", "lambdaI_anf_optimal", "lambdaA_lo_optimal", "subcalculus_stability"],
+)
+def test_graph_cap_hit_is_inconclusive(law):
+    assert 2**10 > DEFAULT_GRAPH_CAP
+    report = law([WIDE])
+    assert (report.cases_run, report.inconclusive) == (1, 1)
+    assert report.passed
 
 
 def test_law_subcalculus_stability_passes(small_corpora):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from lambdalab import pars
-from lambdalab.laws import anchor_corpus
+from lambdalab.laws import anchor_corpus, random_corpus
 from lambdalab.montecarlo import sample_run
 from lambdalab.pars import (
     TRM,
@@ -382,7 +382,7 @@ def test_rep_does_not_recurse_on_discovery_depth():
     graph = StateGraph()
     i = graph.intern(level[0])
     while not graph.is_normal(i):
-        ((i, _),) = graph.row(i, Fraction(1))
+        (i,) = graph.successors(i, Fraction(1))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -509,6 +509,21 @@ def test_solver_agrees_with_truncated_series():
             trace = evolve_trace(t, Strategy.peps(eps), 2000)
             gap = abs(expected_length_truncated(trace) - chain.expected_length)
             assert gap < Fraction(1, 10**6)
+
+
+def test_solver_equals_finished_series_on_lambda_A_terms():
+    # lambda-A terms are strongly normalizing, so a long enough series
+    # finishes and its sum is the expected length exactly
+    corpus = random_corpus(SubCalculus.LAMBDA_A, count=100, size_cap=26)
+    multi_state = 0
+    for eps in (Fraction(1, 3), Fraction(5, 7)):
+        for entry in corpus:
+            trace = evolve_trace(entry.term, Strategy.peps(eps), 300)
+            chain = analyze(entry.term, Strategy.peps(eps))
+            assert trace.trailing_mass == 0, entry.term_id
+            assert expected_length_truncated(trace) == chain.expected_length, entry.term_id
+            multi_state += len(chain.states) > 1
+    assert multi_state >= 80  # not decided by one-state chains
 
 
 def test_grid_matches_per_eps_analysis():
