@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Optional
 
@@ -418,13 +419,16 @@ def law_eps_minimum(
     minimum_at: Fraction,
     corpus_desc: str = "corpus",
     grid=GRID_WITH_ZERO,
+    solve=None,
 ) -> LawReport:
     """The expected derivation length over the eps grid attains its minimum
-    at the stated endpoint (1 for lambda-A corpora, 0 for lambda-I ones)."""
+    at the stated endpoint (1 for lambda-A corpora, 0 for lambda-I ones).
+    solve, when given, stands for grid_expected_lengths over grid."""
     minimum_at = Fraction(minimum_at)
+    solve = solve or partial(grid_expected_lengths, grid=grid)
 
     def check(t: Term) -> Optional[str]:
-        expected = {eps: e for eps, (_, e) in grid_expected_lengths(t, grid).items()}
+        expected = {eps: e for eps, (_, e) in solve(t).items()}
         if any(e is None for e in expected.values()):
             divergent = ", ".join(str(eps) for eps in sorted(expected) if expected[eps] is None)
             return f"no finite expected length at eps in {{{divergent}}}"
@@ -437,15 +441,17 @@ def law_eps_minimum(
     return _check(LawReport(f"eps_minimum_at_{minimum_at}", corpus_desc), corpus, check)
 
 
-def law_foster(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> LawReport:
+def law_foster(corpus: list[CorpusTerm], corpus_desc: str = "corpus", solve=None) -> LawReport:
     """Expected length <= N_LO/eps on every fuel-verified WN corpus term
-    for every eps of DEFAULT_GRID (all of them positive)."""
+    for every eps of DEFAULT_GRID (all of them positive).  solve, when
+    given, stands for grid_expected_lengths over a grid holding DEFAULT_GRID."""
+    solve = solve or partial(grid_expected_lengths, grid=DEFAULT_GRID)
 
     def check(t: Term) -> Optional[str]:
         n_lo = lo_normalizes(t, DEFAULT_WN_FUEL)
         if n_lo is None:
             raise _Inconclusive
-        solved = grid_expected_lengths(t, DEFAULT_GRID)
+        solved = solve(t)
         for eps in DEFAULT_GRID:
             termination, expected = solved[eps]
             bound = Fraction(n_lo) / eps
@@ -502,6 +508,7 @@ def run_suite(
     lambda_a = [e for e in anchor if is_lambda_A(e.term)] + corpora["lambda-A"]
     wn_lambda_i = [e for e in lambda_i if lo_normalizes(e.term, DEFAULT_WN_FUEL) is not None]
 
+    solve = cache(partial(grid_expected_lengths, grid=GRID_WITH_ZERO))  # once per term
     reports = []
     if "lo_monotone" in wanted:
         reports.append(law_lo_monotone(mixed, mixed_desc))
@@ -514,8 +521,8 @@ def run_suite(
     if "lambdaI_anf_optimal" in wanted:
         reports.append(law_lambdaI_anf_optimal(wn_lambda_i, "lambda-I WN corpus"))
     if "eps_minimum" in wanted:
-        reports.append(law_eps_minimum(lambda_a, Fraction(1), "lambda-A corpus"))
-        reports.append(law_eps_minimum(wn_lambda_i, Fraction(0), "lambda-I WN corpus"))
+        reports.append(law_eps_minimum(lambda_a, 1, "lambda-A corpus", solve=solve))
+        reports.append(law_eps_minimum(wn_lambda_i, 0, "lambda-I WN corpus", solve=solve))
     if "foster" in wanted:
-        reports.append(law_foster(mixed, mixed_desc))
+        reports.append(law_foster(mixed, mixed_desc, solve))
     return reports

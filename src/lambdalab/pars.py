@@ -22,9 +22,9 @@ Each call below builds one graph and runs every eps it needs over it:
 
 Everything is computed in exact rational arithmetic.  The chain is solved
 component by component: its strongly connected components are taken sinks
-first, a one-state component by one division and any larger one as a small
-linear system eliminated over Fractions, so results can be compared with
-closed formulas for equality rather than tolerance.
+first, a one-state component by one integer division reduced by one gcd,
+and any larger one as a small linear system eliminated over Fractions, so
+results are compared with closed formulas for equality, not tolerance.
 """
 
 from __future__ import annotations
@@ -564,7 +564,8 @@ def _solve_rows(
     gives the expected time in the second case, the probability in the third.
     A one-state component's system is the single equation x = b + loop x,
     with loop the weight of its self-loop, so it is solved as
-    x = b / (1 - loop) without elimination.
+    x = b / (1 - loop) without elimination, in integers: b and 1 - loop as
+    numerator over denominator, reduced by one gcd into one Fraction.
     """
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal
@@ -579,9 +580,9 @@ def _solve_rows(
         reaches, sure = False, True  # some exit has h > 0; every exit has h == 1
         for i in component:
             for j, _ in edges[i]:
-                if j not in pos:
-                    reaches = reaches or h[j] != 0
-                    sure = sure and h[j] == 1
+                if j not in pos:  # 0 <= h[j] <= 1, so numerator and denominator decide
+                    reaches = reaches or h[j].numerator != 0
+                    sure = sure and h[j].numerator == h[j].denominator
         if not reaches:
             for i in component:
                 h[i] = _ZERO
@@ -589,13 +590,16 @@ def _solve_rows(
         downstream = k if sure else h
         if len(component) == 1:
             (i,) = component
-            b, loop = (_ONE if sure else _ZERO), _ZERO
+            num, den, rest, whole = int(sure), 1, 1, 1  # b = num/den, 1 - loop = rest/whole
             for j, p in edges[i]:
                 if j == i:
-                    loop = p
+                    rest, whole = p.denominator - p.numerator, p.denominator
                 else:
-                    b += p * downstream[j]
-            xs = [b / (1 - loop) if loop else b]
+                    x = downstream[j]
+                    scale = p.denominator * x.denominator
+                    num = num * scale + den * p.numerator * x.numerator
+                    den *= scale
+            xs = [Fraction(num * whole, den * rest)]  # one gcd reduces it
         else:
             matrix = [[0] * len(component) for _ in component]
             rhs = []

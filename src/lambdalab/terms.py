@@ -8,10 +8,13 @@ canonical form exactly when they are alpha-equivalent.
 
 A canonical form is a de Bruijn term (de Bruijn 1972): ("b", k) is the
 variable bound k binders up, ("f", name) a free variable, ("l", body) an
-abstraction and ("a", fn, arg) an application.  It can be reduced as it
-stands: contract_canonical() takes the LO- or RI-step that contract()
-takes on a named term, so a reduct never has to be named and
-canonicalised again.
+abstraction and ("a", fn, arg) an application.  An abstraction or
+application that is a beta-redex or holds one is tagged "L" or "A"
+instead, so is_normal_canonical() reads the root's tag and a contraction
+walks down redex-tagged sub-tuples only; the tag is set wherever a node is
+built.  A canonical form can be reduced as it stands: contract_canonical()
+takes the LO- or RI-step that contract() takes on a named term, so a
+reduct never has to be named and canonicalised again.
 
 Concrete syntax (UTF-8):
 
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -38,21 +40,62 @@ from typing import Optional, Union
 # term data
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """A term node with slots: immutable, equal and hashed by class and
+    field values, and shown by repr as a frozen dataclass would be."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of a term cannot be assigned or deleted")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Abs:
-    binder: str
-    body: "Term"
+class Var(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class Abs(_Node):
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: "Term"):
+        _set_binder(self, binder)
+        _set_body(self, body)
+
+
+class App(_Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: "Term", arg: "Term"):
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+
+
+# the slots' own setters, which go past the __setattr__ that forbids assignment
+_set_name = Var.name.__set__
+_set_binder, _set_body = Abs.binder.__set__, Abs.body.__set__
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
 
 Term = Union[Var, Abs, App]
@@ -65,7 +108,8 @@ INTO_ARG = "arg"
 RedexPath = tuple  # tuple of INTO_* steps
 
 # Nested-tuple encoding of an alpha-class: bound variables by binding depth,
-# free variables by name.  Hashable, orderable within one chain, deterministic.
+# free variables by name, redex flags in the tags.  Hashable, orderable
+# within one chain, deterministic.
 CanonicalTerm = tuple
 
 
@@ -275,6 +319,16 @@ def alpha_eq(t: Term, u: Term) -> bool:
     return go(t, u, {}, {}, 0)
 
 
+def _abs_c(body: CanonicalTerm) -> CanonicalTerm:
+    """The canonical abstraction over body, tagged "L" if body holds a redex."""
+    return ("L" if body[0] in "AL" else "l", body)
+
+
+def _app_c(fn: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
+    """The canonical application, tagged "A" if it is a redex or holds one."""
+    return ("A" if fn[0] in "lLA" or arg[0] in "AL" else "a", fn, arg)
+
+
 def canonicalize(t: Term) -> CanonicalTerm:
     """Binder-name-independent encoding; equal exactly on alpha-classes."""
 
@@ -285,8 +339,8 @@ def canonicalize(t: Term) -> CanonicalTerm:
             except ValueError:
                 return ("f", node.name)
         if isinstance(node, Abs):
-            return ("l", go(node.body, (node.binder,) + binders))
-        return ("a", go(node.fn, binders), go(node.arg, binders))
+            return _abs_c(go(node.body, (node.binder,) + binders))
+        return _app_c(go(node.fn, binders), go(node.arg, binders))
 
     return go(t, ())
 
@@ -488,19 +542,20 @@ def contract(t: Term, rightmost: bool) -> Optional[Term]:
 def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
     """body{arg/0} by de Bruijn beta: the abstraction's own index is
     replaced by arg, indices above it drop by one, and arg's outer indices
-    are shifted by the number of binders it lands under."""
+    are shifted by the number of binders it lands under.  A shift keeps
+    tags; a rebuilt node's tag is set anew, as beta can create a redex."""
     shifted = {0: arg}  # arg as it reads under this many extra binders
 
     def shift(node: CanonicalTerm, by: int, depth: int) -> CanonicalTerm:
         tag = node[0]
         if tag == "b":
             return ("b", node[1] + by) if node[1] >= depth else node
-        if tag == "l":
+        if tag in "lL":
             inner = shift(node[1], by, depth + 1)
-            return node if inner is node[1] else ("l", inner)
-        if tag == "a":
+            return node if inner is node[1] else (tag, inner)
+        if tag in "aA":
             fn, a = shift(node[1], by, depth), shift(node[2], by, depth)
-            return node if fn is node[1] and a is node[2] else ("a", fn, a)
+            return node if fn is node[1] and a is node[2] else (tag, fn, a)
         return node
 
     def go(node: CanonicalTerm, depth: int) -> CanonicalTerm:
@@ -513,12 +568,12 @@ def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
                     out = shifted[depth] = shift(arg, depth, 0)
                 return out
             return ("b", k - 1) if k > depth else node
-        if tag == "l":
+        if tag in "lL":
             inner = go(node[1], depth + 1)
-            return node if inner is node[1] else ("l", inner)
-        if tag == "a":
+            return node if inner is node[1] else _abs_c(inner)
+        if tag in "aA":
             fn, a = go(node[1], depth), go(node[2], depth)
-            return node if fn is node[1] and a is node[2] else ("a", fn, a)
+            return node if fn is node[1] and a is node[2] else _app_c(fn, a)
         return node
 
     return go(body, 0)
@@ -526,50 +581,32 @@ def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
 
 def contract_canonical(c: CanonicalTerm, rightmost: bool) -> Optional[CanonicalTerm]:
     """contract on a canonical form: canonicalize(contract(t, r)) ==
-    contract_canonical(canonicalize(t), r).  Sub-tuples the step does not
-    touch are returned as they are."""
+    contract_canonical(canonicalize(t), r).  The descent follows the redex
+    tags, so it never enters a normal sub-tuple, and sub-tuples the step
+    does not touch are returned as they are."""
 
-    def go(node: CanonicalTerm) -> Optional[CanonicalTerm]:
-        tag = node[0]
-        if tag == "a":
-            fn, arg = node[1], node[2]
-            if rightmost:
-                new = go(arg)
-                if new is not None:
-                    return ("a", fn, new)
-                new = go(fn)
-                if new is not None:
-                    return ("a", new, arg)
-                return _beta_canonical(fn[1], arg) if fn[0] == "l" else None
-            if fn[0] == "l":
-                return _beta_canonical(fn[1], arg)
-            new = go(fn)
-            if new is not None:
-                return ("a", new, arg)
-            new = go(arg)
-            return None if new is None else ("a", fn, new)
-        if tag == "l":
-            new = go(node[1])
-            return None if new is None else ("l", new)
-        return None
+    def go(node: CanonicalTerm) -> CanonicalTerm:  # node holds a redex
+        if node[0] == "L":
+            return _abs_c(go(node[1]))
+        fn, arg = node[1], node[2]
+        if rightmost:
+            if arg[0] in "AL":
+                return _app_c(fn, go(arg))
+            if fn[0] in "AL":
+                return _app_c(go(fn), arg)
+            return _beta_canonical(fn[1], arg)
+        if fn[0] in "lL":
+            return _beta_canonical(fn[1], arg)
+        if fn[0] == "A":
+            return _app_c(go(fn), arg)
+        return _app_c(fn, go(arg))
 
-    return go(c)
+    return go(c) if c[0] in "AL" else None
 
 
 def is_normal_canonical(c: CanonicalTerm) -> bool:
-    """is_normal_form on a canonical form, without recursion."""
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        tag = node[0]
-        if tag == "a":
-            if node[1][0] == "l":
-                return False
-            stack.append(node[2])
-            stack.append(node[1])
-        elif tag == "l":
-            stack.append(node[1])
-    return True
+    """is_normal_form on a canonical form: a test of its root's tag."""
+    return c[0] not in "AL"
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +648,6 @@ def classify(t: Term) -> SubCalculus:
     if a:
         return SubCalculus.LAMBDA_A
     return SubCalculus.FULL
-
-
-def _satisfies(t: Term, tag: SubCalculus) -> bool:
-    if tag is SubCalculus.FULL:
-        return True
-    if tag is SubCalculus.LAMBDA_I:
-        return is_lambda_I(t)
-    if tag is SubCalculus.LAMBDA_A:
-        return is_lambda_A(t)
-    return is_lambda_I(t) and is_lambda_A(t)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +798,9 @@ def random_term(seed: int, max_size: int, tag: SubCalculus = SubCalculus.FULL) -
         # two upward-biased draws: tiny terms exercise laws only vacuously
         budget = max(rng.randint(1, max_size), rng.randint(1, max_size))
         t = _gen(rng, budget, frozenset(), frozenset(), tag, [0])
-        if t is not None and term_size(t) <= max_size and _satisfies(t, tag):
+        if t is not None and term_size(t) <= max_size and (
+            tag is SubCalculus.FULL or classify(t) in (tag, SubCalculus.BOTH)
+        ):
             return t
     raise GenerationExhausted(
         f"no {tag.value} term of size <= {max_size} found for seed {seed}"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lambdalab import laws
 from lambdalab.laws import (
     CorpusTerm,
     DEFAULT_GRAPH_CAP,
@@ -212,6 +213,25 @@ def test_run_suite_single_law(small_corpora):
     reports = run_suite("eps_minimum", corpora=small_corpora, count=40)
     assert [r.law_id for r in reports] == ["eps_minimum_at_1", "eps_minimum_at_0"]
     assert all(r.passed for r in reports)
+
+
+def test_run_suite_solves_each_term_once(small_corpora, monkeypatch):
+    # eps_minimum and foster share the grid solve of every term they both check
+    calls = []
+    real = laws.grid_expected_lengths
+
+    def counting(t, grid, *args):
+        calls.append((t, tuple(grid)))
+        return real(t, grid, *args)
+
+    monkeypatch.setattr(laws, "grid_expected_lengths", counting)
+    reports = run_suite("all", corpora=small_corpora, count=40)
+    assert all(r.passed for r in reports)
+    assert calls and len(set(calls)) == len(calls)
+    assert {grid for _, grid in calls} == {GRID_WITH_ZERO}
+    solved = {t for t, _ in calls}
+    assert any(e.term in solved for e in small_corpora["lambda-A"])
+    assert any(e.term in solved for e in small_corpora["full"])
 
 
 def test_run_suite_rejects_unknown():

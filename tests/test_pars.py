@@ -738,3 +738,48 @@ def test_check_foster_random_wn_terms():
             chain = analyze(t, Strategy.peps(eps))
             assert chain.termination_prob == 1
             assert chain.expected_length <= bound
+
+
+# one-state components, solved in integers, against the dense oracle
+
+E = Fraction(2, 7)
+ONE_STATE_CHAINS = {
+    # self-loop of weight eps, then of weight 1 - eps
+    "loop_eps": {0: ((0, E), (TRM, 1 - E))},
+    "loop_one_minus_eps": {0: ((TRM, E), (0, 1 - E))},
+    # a chain of one-state components, each fed the value downstream
+    "loops_in_series": {
+        0: ((1, E), (0, 1 - E)),
+        1: ((2, Fraction(1, 2)), (1, Fraction(1, 2))),
+        2: ((TRM, Fraction(5, 9)), (2, Fraction(4, 9))),
+    },
+    # absorbed with probability 1/3: one exit is absorbed, one never is
+    "partial_absorption": {
+        0: ((0, Fraction(1, 4)), (1, Fraction(1, 4)), (2, Fraction(1, 2))),
+        1: ((TRM, Fraction(1)),),
+        2: ((2, Fraction(1)),),
+    },
+    # absorbed with probability 0: the only exit loops for ever
+    "never_absorbed": {0: ((0, E), (1, 1 - E)), 1: ((1, Fraction(1)),)},
+}
+
+
+@pytest.mark.parametrize("name", ONE_STATE_CHAINS)
+def test_one_state_components_match_dense_oracle(name):
+    rows = ONE_STATE_CHAINS[name]
+    states = tuple(rows)
+    assert all(len(c) == 1 for c in sccs([[j for j, _ in rows[i] if j != TRM] for i in states]))
+    for origin in states:
+        got = _solve_rows(states, rows, origin)
+        assert got == solve_rows_dense(states, rows, origin)
+        for x in got:
+            assert x is None or (type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1)
+    termination, expected = _solve_rows(states, rows, 0)
+    if name == "loop_eps":
+        assert (termination, expected) == (1, 1 / (1 - E))
+    elif name == "loop_one_minus_eps":
+        assert (termination, expected) == (1, 1 / E)
+    elif name == "partial_absorption":
+        assert (termination, expected) == (Fraction(1, 3), None)
+    elif name == "never_absorbed":
+        assert (termination, expected) == (0, None)

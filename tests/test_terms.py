@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import hypothesis.strategies as st
@@ -422,3 +424,96 @@ def test_random_term_respects_filter(tag):
 def test_random_term_rejects_bad_size():
     with pytest.raises(ValueError):
         random_term(1, 0)
+
+
+# ---------------------------------------------------------------------------
+# redex tags of canonical forms
+
+
+def _assert_tags_match(t, c):
+    """Each canonical sub-tuple's tag says whether the named subterm at the
+    same place holds a redex: "A"/"L" if it does, "a"/"l" if not."""
+    stack = [(t, c)]
+    while stack:
+        node, form = stack.pop()
+        if isinstance(node, Var):
+            assert form[0] in "bf"
+        elif isinstance(node, Abs):
+            assert form[0] == ("l" if is_normal_form(node) else "L")
+            stack.append((node.body, form[1]))
+        else:
+            assert form[0] == ("a" if is_normal_form(node) else "A")
+            stack += [(node.fn, form[1]), (node.arg, form[2])]
+
+
+def _assert_tag_invariant(t):
+    c = canonicalize(t)
+    _assert_tags_match(t, c)
+    assert is_normal_canonical(c) == is_normal_form(t)
+    for rightmost in (False, True):
+        u = contract(t, rightmost)
+        if u is not None:
+            _assert_tags_match(u, contract_canonical(c, rightmost))
+
+
+@given(terms)
+def test_canonical_tags_match_redexes_on_generated_terms(t):
+    _assert_tag_invariant(t)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(list(SubCalculus)))
+@settings(max_examples=200, deadline=None)
+def test_canonical_tags_match_redexes_on_random_terms(seed, tag):
+    _assert_tag_invariant(random_term(seed, 40, tag))
+
+
+def test_beta_step_that_creates_a_redex_tags_it():
+    # (\x.x y) (\z.z) is one redex; its reduct (\z.z) y is a new one
+    c = canonicalize(parse("(\\x.x y) (\\z.z)"))
+    assert c == ("A", ("l", ("a", ("b", 0), ("f", "y"))), ("l", ("b", 0)))
+    for rightmost in (False, True):
+        reduct = contract_canonical(c, rightmost)
+        assert reduct == ("A", ("l", ("b", 0)), ("f", "y"))
+        assert not is_normal_canonical(reduct)
+        assert contract_canonical(reduct, rightmost) == ("f", "y")
+
+
+# ---------------------------------------------------------------------------
+# term node classes
+
+
+def test_term_nodes_compare_by_class_and_fields():
+    t, u = parse("x (\\y.y)"), App(Var("x"), Abs("y", Var("y")))
+    assert t == u and hash(t) == hash(u) and t is not u
+    assert len({t, u, App(Var("x"), Abs("z", Var("z")))}) == 2
+    assert Var("x") != Var("y")
+    # equal field values, different classes
+    assert Abs("x", Var("x")) != App("x", Var("x"))
+    assert Var("x") != Abs("x", Var("x")) and Var("x") != "x"
+
+
+def test_term_nodes_repr_like_dataclasses():
+    t = App(Var("x"), Abs("y", Var("y")))
+    assert repr(t) == "App(fn=Var(name='x'), arg=Abs(binder='y', body=Var(name='y')))"
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [(Var("x"), "name"), (Abs("x", Var("x")), "binder"), (Abs("x", Var("x")), "body"),
+     (App(Var("x"), Var("y")), "fn"), (App(Var("x"), Var("y")), "arg")],
+)
+def test_term_nodes_are_immutable(node, field):
+    before = repr(node)
+    with pytest.raises(AttributeError):
+        setattr(node, field, Var("z"))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert repr(node) == before
+
+
+def test_term_nodes_copy_and_pickle():
+    t = mk_Mn(3)
+    assert copy.copy(t) == t and copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
