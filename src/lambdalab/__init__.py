@@ -52,7 +52,6 @@ from .terms import (
     classify,
     ensure_recursion_headroom,
     free_vars,
-    is_anf_redex,
     is_lambda_A,
     is_lambda_I,
     is_normal_form,
@@ -63,7 +62,6 @@ from .terms import (
     mk_example1,
     mk_example2,
     mk_omega,
-    multiplicity,
     parse,
     random_term,
     redexes,

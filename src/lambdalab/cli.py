@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -33,6 +32,7 @@ from .terms import (
     mk_Cn,
     mk_Mn,
     parse,
+    reduce_at,
     render,
 )
 
@@ -133,10 +133,12 @@ def cmd_reduce(args) -> int:
     _, t = resolve_term(args.term)
     strategy = Strategy.parse(args.strategy)
     if strategy.name in ("lo", "ri"):
-        # lo and ri step the concrete terms
-        path = list(islice(walk(t, strategy.name), args.fuel + 2))
-        finished = len(path) <= args.fuel + 1
-        del path[args.fuel + 1:]
+        # lo and ri replay each step's redex path on the concrete terms
+        steps = list(islice(walk(t, strategy.name), args.fuel + 2))
+        finished = len(steps) <= args.fuel + 1
+        path = [t]
+        for _, redex in steps[1:args.fuel + 1]:
+            path.append(reduce_at(path[-1], redex))
     else:
         # a mixture is traced by sampling one seeded run over the alpha-classes
         path, finished = sample_path(t, strategy, args.seed, args.fuel)
@@ -194,63 +196,41 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-CSV_HEADER = (
-    "term_id,epsilon,expected_length,expected_length_decimal,"
-    "termination_prob,n_lo,n_ri,foster_bound"
+# the columns of a sweep row, in CSV order
+SWEEP_COLUMNS = (
+    "term_id", "epsilon", "expected_length", "expected_length_decimal",
+    "termination_prob", "n_lo", "n_ri", "foster_bound",
+)
+CSV_HEADER = ",".join(SWEEP_COLUMNS)
+# (title, column, width) of the text table
+_TEXT_COLUMNS = (
+    ("epsilon", "epsilon", 10), ("expected", "expected_length", 14),
+    ("decimal", "expected_length_decimal", 16), ("term.prob", "termination_prob", 10),
+    ("n_lo", "n_lo", 6), ("n_ri", "n_ri", 6), ("bound", "foster_bound", 10),
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of an eps sweep, exact plus a decimal rendering."""
-
-    term_id: str
-    epsilon: Fraction
-    expected_length: Optional[Fraction]  # None = infinite
-    termination_prob: Fraction
-    n_lo: Optional[int]  # None = fuel exhausted ("div")
-    n_ri: Optional[int]
-    foster_bound: Optional[Fraction]  # None = undefined
-
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.term_id,
-                frac_str(self.epsilon),
-                "inf" if self.expected_length is None else frac_str(self.expected_length),
-                fraction_to_decimal(self.expected_length),
-                frac_str(self.termination_prob),
-                "div" if self.n_lo is None else str(self.n_lo),
-                "div" if self.n_ri is None else str(self.n_ri),
-                "-" if self.foster_bound is None else frac_str(self.foster_bound),
-            ]
-        )
-
-    @staticmethod
-    def from_csv(line: str) -> "SweepRow":
-        (term_id, eps, e, _dec, tp, lo, ri, bound) = line.split(",")
-        return SweepRow(
-            term_id,
-            Fraction(eps),
-            None if e == "inf" else Fraction(e),
-            Fraction(tp),
-            None if lo == "div" else int(lo),
-            None if ri == "div" else int(ri),
-            None if bound == "-" else Fraction(bound),
-        )
-
-
-def sweep_rows(term_id: str, t: Term, grid, fuel: int, state_cap: int) -> list[SweepRow]:
+def sweep_rows(term_id: str, t: Term, grid, fuel: int, state_cap: int) -> list[dict]:
+    """One dict per grid point, keyed by SWEEP_COLUMNS in order, with the
+    values that the csv, json and text formats all print: fractions as
+    num/den, an infinite expected length as "inf", a step count as an int
+    or "div" when the fuel runs out, an undefined bound as "-"."""
     solved = grid_expected_lengths(t, grid, state_cap)
     lo = n_steps(t, "lo", fuel)
     ri = n_steps(t, "ri", fuel)
-    n_lo = lo.steps if lo.finite else None
-    n_ri = ri.steps if ri.finite else None
     rows = []
     for eps in sorted(solved):
         termination, expected = solved[eps]
-        bound = Fraction(n_lo) / eps if (n_lo is not None and eps > 0) else None
-        rows.append(SweepRow(term_id, eps, expected, termination, n_lo, n_ri, bound))
+        rows.append({
+            "term_id": term_id,
+            "epsilon": frac_str(eps),
+            "expected_length": "inf" if expected is None else frac_str(expected),
+            "expected_length_decimal": fraction_to_decimal(expected),
+            "termination_prob": frac_str(termination),
+            "n_lo": lo.steps if lo.finite else "div",
+            "n_ri": ri.steps if ri.finite else "div",
+            "foster_bound": frac_str(lo.steps / eps) if lo.finite and eps > 0 else "-",
+        })
     return rows
 
 
@@ -263,38 +243,15 @@ def cmd_sweep(args) -> int:
         _emit(f"inconclusive: {exc}\n", args.out)
         return EXIT_INCONCLUSIVE
     if args.format == "csv":
-        text = "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
+        lines = [CSV_HEADER] + [",".join(map(str, r.values())) for r in rows]
     elif args.format == "json":
-        text = _json(
-            [
-                {
-                    "term_id": r.term_id,
-                    "epsilon": frac_str(r.epsilon),
-                    "expected_length": "inf" if r.expected_length is None
-                    else frac_str(r.expected_length),
-                    "expected_length_decimal": fraction_to_decimal(r.expected_length),
-                    "termination_prob": frac_str(r.termination_prob),
-                    "n_lo": "div" if r.n_lo is None else r.n_lo,
-                    "n_ri": "div" if r.n_ri is None else r.n_ri,
-                    "foster_bound": "-" if r.foster_bound is None else frac_str(r.foster_bound),
-                }
-                for r in rows
-            ]
-        ) + "\n"
+        lines = [_json(rows)]
     else:
-        header = f"{'epsilon':<10} {'expected':<14} {'decimal':<16} {'term.prob':<10} {'n_lo':<6} {'n_ri':<6} {'bound':<10}"
-        body = [f"sweep of {term_id} = {render(t)}", header]
-        for r in rows:
-            body.append(
-                f"{frac_str(r.epsilon):<10} "
-                f"{'inf' if r.expected_length is None else frac_str(r.expected_length):<14} "
-                f"{fraction_to_decimal(r.expected_length):<16} "
-                f"{frac_str(r.termination_prob):<10} "
-                f"{'div' if r.n_lo is None else r.n_lo:<6} "
-                f"{'div' if r.n_ri is None else r.n_ri:<6} "
-                f"{'-' if r.foster_bound is None else frac_str(r.foster_bound):<10}"
-            )
-        text = "\n".join(body) + "\n"
+        lines = [
+            f"sweep of {term_id} = {render(t)}",
+            " ".join(f"{title:<{width}}" for title, _, width in _TEXT_COLUMNS),
+        ] + [" ".join(f"{r[key]:<{width}}" for _, key, width in _TEXT_COLUMNS) for r in rows]
+    text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 

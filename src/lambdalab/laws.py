@@ -24,6 +24,7 @@ from .strategies import beta_successors, n_steps, walk
 from .terms import (
     SubCalculus,
     Term,
+    canonical_size,
     ensure_recursion_headroom,
     free_vars,
     is_lambda_A,
@@ -39,7 +40,6 @@ from .terms import (
     redexes,
     reduce_at,
     render,
-    term_size,
 )
 
 DEFAULT_GRID = (
@@ -153,13 +153,13 @@ def anchor_corpus() -> list[CorpusTerm]:
 
 
 def lo_normalizes(t: Term, fuel: int) -> Optional[int]:
-    """LO step count to normal form, or None if fuel runs out or a reduct
-    outgrows WN_SIZE_GUARD first.  Sound as a weak-normalization
-    certificate: only terms whose LO reduction demonstrably finishes are
-    admitted."""
+    """LO step count to normal form, counted on canonical forms, or None if
+    fuel runs out or a reduct outgrows WN_SIZE_GUARD first.  Sound as a
+    weak-normalization certificate: only terms whose LO reduction
+    demonstrably finishes are admitted."""
     n = -1
-    for n, u in enumerate(islice(walk(t, "lo"), fuel + 2)):
-        if n and term_size(u) > WN_SIZE_GUARD:
+    for n, (c, _) in enumerate(islice(walk(t, "lo"), fuel + 2)):
+        if n and canonical_size(c) > WN_SIZE_GUARD:
             return None
     return n if n <= fuel else None
 

@@ -3,7 +3,8 @@
 A StateGraph interns alpha-classes to int ids and computes each class's
 LO- and RI-successors once, by contracting its canonical form directly;
 the eps-mixture's row from a class reweights those two.  A named
-representative is built only when asked for, by contracting its parent's.
+representative is built only when asked for, by contracting its parent's
+at the path that the canonical step went down.
 Each call below builds one graph and runs every eps it needs over it:
 
 * configuration evolution — a partial distribution over alpha-classes is
@@ -40,10 +41,10 @@ from .terms import (
     CanonicalTerm,
     Term,
     canonicalize,
-    contract,
     contract_canonical,
     is_normal_canonical,
     is_normal_form,
+    reduce_at,
     render,
 )
 
@@ -79,10 +80,10 @@ class StateGraph:
 
     forms[i] is the canonical form of class i, and rep(i) its
     representative: the term interned for it, or for a class found by a
-    step, its parent's representative contracted on the same side.  A
-    class's LO- and RI-successors are found by contracting its canonical
-    form, each side the first time it is asked for, so a chain at eps = 0
-    or 1 discovers only the classes it reaches and no reduct is
+    step, its parent's representative contracted at the redex path of that
+    step.  A class's LO- and RI-successors are found by contracting its
+    canonical form, each side the first time it is asked for, so a chain at
+    eps = 0 or 1 discovers only the classes it reaches and no reduct is
     canonicalised; representatives are built only when asked for.
     successors(i, eps) lists the ids the eps-mixture can step to, which is
     all a closure or a sampler needs; chain_rows weighs them.
@@ -94,7 +95,7 @@ class StateGraph:
         self.ids: dict[CanonicalTerm, int] = {}
         self.forms: list[CanonicalTerm] = []
         self._reps: list[Optional[Term]] = []  # None until rep() builds it
-        self._parents: list = []  # (parent id, rightmost) of a class found by a step
+        self._parents: list = []  # (parent id, redex path) of a class found by a step
         self._successors: list = []  # None if normal, else [lo, ri] ids, None until found
         self._beta: dict[int, tuple] = {}
         self._anf: dict[int, tuple] = {}
@@ -130,8 +131,8 @@ class StateGraph:
             missing.append(j)
             j = parents[j][0]
         for j in reversed(missing):
-            parent, rightmost = parents[j]
-            reps[j] = contract(reps[parent], rightmost)
+            parent, path = parents[j]
+            reps[j] = reduce_at(reps[parent], path)
         return reps[i]
 
     def is_normal(self, i: int) -> bool:
@@ -142,10 +143,10 @@ class StateGraph:
         successors = self._successors[i]
         j = successors[side]
         if j is None:
-            c = contract_canonical(self.forms[i], side == 1)
+            c, path = contract_canonical(self.forms[i], side == 1)
             j = self.ids.get(c)
             if j is None:
-                j = self._add(c, None, (i, side == 1), is_normal_canonical(c))
+                j = self._add(c, None, (i, path), is_normal_canonical(c))
             successors[side] = j
         return j
 
@@ -566,6 +567,10 @@ def _solve_rows(
     with loop the weight of its self-loop, so it is solved as
     x = b / (1 - loop) without elimination, in integers: b and 1 - loop as
     numerator over denominator, reduced by one gcd into one Fraction.
+    Larger components that reach TRM do occur: the RI-successors of
+    (\\w.c) ((\\x.x x) (\\y.y (\\z.y z))) alternate between two classes
+    that every LO step leaves for a normal form, so for 0 < eps < 1 its
+    chain has a 2-state component, solved by elimination, and E = 1/eps.
     """
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal

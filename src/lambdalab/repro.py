@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from . import laws
 from .laws import DEFAULT_GRID, lo_normalizes
@@ -140,8 +141,9 @@ def criterion_4() -> CriterionResult:
                    started, passed, "; ".join(rows))
 
 
-def criterion_5(corpora=None) -> CriterionResult:
-    """Expectation bound N_LO/eps on every WN default-corpus term."""
+def criterion_5(corpora=None, solve=None) -> CriterionResult:
+    """Expectation bound N_LO/eps on every WN default-corpus term; solve,
+    when given, is passed on to laws.law_foster."""
     started = time.monotonic()
     ensure_recursion_headroom()
     if corpora is None:
@@ -150,7 +152,7 @@ def criterion_5(corpora=None) -> CriterionResult:
         corpora["anchor"] + corpora["full"] + corpora["lambda-I"] + corpora["lambda-A"]
     )
     wn_entries = [e for e in entries if lo_normalizes(e.term, laws.DEFAULT_WN_FUEL) is not None]
-    report = laws.law_foster(wn_entries, "WN part of the default corpora")
+    report = laws.law_foster(wn_entries, "WN part of the default corpora", solve)
     passed = report.passed and report.inconclusive == 0 and report.cases_run == len(wn_entries)
     detail = (
         f"{report.cases_passed}/{report.cases_run} WN terms hold on the full grid"
@@ -203,9 +205,9 @@ def criterion_6() -> CriterionResult:
     )
 
 
-def criterion_7(lambda_a=None, lambda_i=None) -> CriterionResult:
+def criterion_7(lambda_a=None, lambda_i=None, solve=None) -> CriterionResult:
     """Grid argmin at eps=1 on 200 lambda-A terms and eps=0 on 200 WN
-    lambda-I terms."""
+    lambda-I terms; solve, when given, is passed on to laws.law_eps_minimum."""
     started = time.monotonic()
     ensure_recursion_headroom()
     if lambda_a is None:
@@ -214,8 +216,8 @@ def criterion_7(lambda_a=None, lambda_i=None) -> CriterionResult:
         lambda_i = laws.random_corpus(
             SubCalculus.LAMBDA_I, require_wn_fuel=laws.DEFAULT_WN_FUEL
         )
-    report_a = laws.law_eps_minimum(lambda_a, Fraction(1), "200 lambda-A terms")
-    report_i = laws.law_eps_minimum(lambda_i, Fraction(0), "200 WN lambda-I terms")
+    report_a = laws.law_eps_minimum(lambda_a, Fraction(1), "200 lambda-A terms", solve=solve)
+    report_i = laws.law_eps_minimum(lambda_i, Fraction(0), "200 WN lambda-I terms", solve=solve)
     passed = (
         report_a.passed and report_i.passed
         and report_a.inconclusive == 0 and report_i.inconclusive == 0
@@ -334,17 +336,19 @@ def criterion_10() -> CriterionResult:
 
 
 def run_all() -> list[CriterionResult]:
-    """All ten criteria; shares the expensive corpora across checks."""
+    """All ten criteria; shares the expensive corpora across checks, and
+    one grid solve per term between criteria 5 and 7."""
     ensure_recursion_headroom()
     corpora = laws.default_corpora()
+    solve = cache(partial(grid_expected_lengths, grid=laws.GRID_WITH_ZERO))
     return [
         criterion_1(),
         criterion_2(),
         criterion_3(),
         criterion_4(),
-        criterion_5(corpora),
+        criterion_5(corpora, solve),
         criterion_6(),
-        criterion_7(corpora["lambda-A"], corpora["lambda-I"]),
+        criterion_7(corpora["lambda-A"], corpora["lambda-I"], solve),
         criterion_8(corpora),
         criterion_9(),
         criterion_10(),

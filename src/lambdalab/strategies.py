@@ -17,9 +17,10 @@ from typing import Iterator, Optional
 
 from .terms import (
     CanonicalTerm,
+    RedexPath,
     Term,
     canonicalize,
-    contract,
+    contract_canonical,
     is_normal_form,
     redexes,
     reduce_at,
@@ -121,8 +122,10 @@ class Distribution:
 
 
 def step_lo(t: Term) -> Optional[Term]:
-    """One leftmost-outermost step; None iff t is in normal form."""
-    return contract(t, rightmost=False)
+    """One leftmost-outermost step, at the pre-order-first redex; None iff
+    t is in normal form."""
+    paths = redexes(t)
+    return reduce_at(t, paths[0]) if paths else None
 
 
 def step_ri(t: Term) -> Optional[Term]:
@@ -131,7 +134,8 @@ def step_ri(t: Term) -> Optional[Term]:
     The contracted redex is the pre-order-last one, so its argument can
     contain no redex: every RI step is an argument-normal step.
     """
-    return contract(t, rightmost=True)
+    paths = redexes(t)
+    return reduce_at(t, paths[-1]) if paths else None
 
 
 def _alpha_distinct(reducts) -> list[Term]:
@@ -171,10 +175,10 @@ def p_eps(t: Term, eps) -> Optional[Distribution]:
     eps = Fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0,1], got {eps}")
-    lo_reduct = step_lo(t)
-    if lo_reduct is None:
+    paths = redexes(t)
+    if not paths:
         return None
-    return Distribution([(lo_reduct, eps), (step_ri(t), 1 - eps)])
+    return Distribution([(reduce_at(t, paths[0]), eps), (reduce_at(t, paths[-1]), 1 - eps)])
 
 
 @dataclass(frozen=True)
@@ -222,15 +226,18 @@ class Strategy:
 # derivation-length counters
 
 
-def walk(t: Term, strategy: str) -> Iterator[Term]:
-    """t and its successive reducts under "lo" or "ri", ending with the
-    normal form if one is reached."""
+def walk(t: Term, strategy: str) -> Iterator[tuple[CanonicalTerm, Optional[RedexPath]]]:
+    """The canonical forms of t and of its successive reducts under "lo" or
+    "ri", ending with the normal form if one is reached.  Each comes with
+    the path of the redex whose contraction gave it, None for t itself, so
+    replaying the paths with reduce_at rebuilds the named reducts."""
     if strategy not in ("lo", "ri"):
         raise ValueError(f"no deterministic strategy {strategy!r} (want lo or ri)")
     rightmost = strategy == "ri"
-    while t is not None:
-        yield t
-        t = contract(t, rightmost)
+    step = canonicalize(t), None
+    while step is not None:
+        yield step
+        step = contract_canonical(step[0], rightmost)
 
 
 def n_steps(t: Term, strategy: str, fuel: int = DEFAULT_FUEL) -> StepCount:

@@ -12,9 +12,11 @@ abstraction and ("a", fn, arg) an application.  An abstraction or
 application that is a beta-redex or holds one is tagged "L" or "A"
 instead, so is_normal_canonical() reads the root's tag and a contraction
 walks down redex-tagged sub-tuples only; the tag is set wherever a node is
-built.  A canonical form can be reduced as it stands: contract_canonical()
-takes the LO- or RI-step that contract() takes on a named term, so a
-reduct never has to be named and canonicalised again.
+built.  A canonical form can be reduced as it stands, so a reduct never has
+to be named and canonicalised again.  contract_canonical() is the one place
+that picks the LO- or RI-redex: it also returns the redex's path, and
+reduce_at() replays that path on a named term of the class wherever a
+named reduct is wanted.
 
 Concrete syntax (UTF-8):
 
@@ -427,45 +429,46 @@ def redexes(t: Term) -> list[RedexPath]:
     return out
 
 
-def subterm_at(t: Term, path: RedexPath) -> Term:
-    node = t
+def _descend(t: Term, path: RedexPath) -> list[Term]:
+    """The nodes that path passes through, from t down to the one it
+    addresses."""
+    nodes = [t]
     for step in path:
+        node = nodes[-1]
         if step == INTO_FN and isinstance(node, App):
-            node = node.fn
+            nodes.append(node.fn)
         elif step == INTO_ARG and isinstance(node, App):
-            node = node.arg
+            nodes.append(node.arg)
         elif step == INTO_BODY and isinstance(node, Abs):
-            node = node.body
+            nodes.append(node.body)
         else:
             raise InvalidPath(f"path step {step!r} does not match term shape")
-    return node
+    return nodes
 
 
-def _redex_at(t: Term, path: RedexPath) -> App:
-    node = subterm_at(t, path)
-    if isinstance(node, App) and isinstance(node.fn, Abs):
-        return node
-    raise InvalidPath("path does not address a beta-redex")
+def subterm_at(t: Term, path: RedexPath) -> Term:
+    return _descend(t, path)[-1]
 
 
 def reduce_at(t: Term, path: RedexPath) -> Term:
-    """Contract the redex addressed by path; everything else is untouched."""
+    """Contract the redex addressed by path; everything else is untouched.
 
-    def go(node: Term, i: int) -> Term:
-        if i == len(path):
-            if isinstance(node, App) and isinstance(node.fn, Abs):
-                return substitute(node.fn.body, node.fn.binder, node.arg)
-            raise InvalidPath("path does not address a beta-redex")
-        step = path[i]
-        if step == INTO_FN and isinstance(node, App):
-            return App(go(node.fn, i + 1), node.arg)
-        if step == INTO_ARG and isinstance(node, App):
-            return App(node.fn, go(node.arg, i + 1))
-        if step == INTO_BODY and isinstance(node, Abs):
-            return Abs(node.binder, go(node.body, i + 1))
-        raise InvalidPath(f"path step {step!r} does not match term shape")
-
-    return go(t, 0)
+    The nodes above the redex are rebuilt bottom-up, without recursion on
+    the length of the path.
+    """
+    nodes = _descend(t, path)
+    redex = nodes.pop()
+    if not (isinstance(redex, App) and isinstance(redex.fn, Abs)):
+        raise InvalidPath("path does not address a beta-redex")
+    new = substitute(redex.fn.body, redex.fn.binder, redex.arg)
+    for node, step in zip(reversed(nodes), reversed(path)):
+        if step == INTO_FN:
+            new = App(new, node.arg)
+        elif step == INTO_ARG:
+            new = App(node.fn, new)
+        else:
+            new = Abs(node.binder, new)
+    return new
 
 
 def is_normal_form(t: Term) -> bool:
@@ -480,63 +483,8 @@ def is_normal_form(t: Term) -> bool:
     )
 
 
-def is_anf_redex(t: Term, path: RedexPath) -> bool:
-    """True iff the addressed redex has an argument already in normal form."""
-    return is_normal_form(_redex_at(t, path).arg)
-
-
-def _free_occurrences(t: Term, name: str) -> int:
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    if isinstance(t, Abs):
-        return 0 if t.binder == name else _free_occurrences(t.body, name)
-    return _free_occurrences(t.fn, name) + _free_occurrences(t.arg, name)
-
-
-def multiplicity(t: Term, path: RedexPath) -> int:
-    """Number of free occurrences of the redex binder in the redex body."""
-    redex = _redex_at(t, path)
-    assert isinstance(redex.fn, Abs)
-    return _free_occurrences(redex.fn.body, redex.fn.binder)
-
-
 # ---------------------------------------------------------------------------
 # contraction of the LO- or RI-redex
-
-
-def contract(t: Term, rightmost: bool) -> Optional[Term]:
-    """One beta-step at the pre-order first redex of t (the LO-redex), or
-    at the last one (the RI-redex) when rightmost; None iff t is normal.
-
-    Equal to reduce_at(t, redexes(t)[0]) or reduce_at(t, redexes(t)[-1]),
-    but found in one descent.  The last redex in pre-order lies in the
-    argument if that has one, else in the function, else it is the node.
-    """
-
-    def go(node: Term) -> Optional[Term]:
-        if isinstance(node, App):
-            fn, arg = node.fn, node.arg
-            if rightmost:
-                new = go(arg)
-                if new is not None:
-                    return App(fn, new)
-                new = go(fn)
-                if new is not None:
-                    return App(new, arg)
-                return substitute(fn.body, fn.binder, arg) if isinstance(fn, Abs) else None
-            if isinstance(fn, Abs):
-                return substitute(fn.body, fn.binder, arg)
-            new = go(fn)
-            if new is not None:
-                return App(new, arg)
-            new = go(arg)
-            return None if new is None else App(fn, new)
-        if isinstance(node, Abs):
-            new = go(node.body)
-            return None if new is None else Abs(node.binder, new)
-        return None
-
-    return go(t)
 
 
 def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
@@ -579,34 +527,63 @@ def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
     return go(body, 0)
 
 
-def contract_canonical(c: CanonicalTerm, rightmost: bool) -> Optional[CanonicalTerm]:
-    """contract on a canonical form: canonicalize(contract(t, r)) ==
-    contract_canonical(canonicalize(t), r).  The descent follows the redex
-    tags, so it never enters a normal sub-tuple, and sub-tuples the step
-    does not touch are returned as they are."""
+def contract_canonical(
+    c: CanonicalTerm, rightmost: bool
+) -> Optional[tuple[CanonicalTerm, RedexPath]]:
+    """One beta-step on a canonical form, at the LO-redex or, when
+    rightmost, at the RI-redex: the reduct's canonical form and the path to
+    the contracted redex, or None iff c is normal.
+
+    This is the one place that picks the LO- or RI-redex.  For every t with
+    canonicalize(t) == c the path is redexes(t)[0], or redexes(t)[-1] when
+    rightmost, and the reduct is canonicalize(reduce_at(t, path)).  The
+    first redex in pre-order is the node itself if its function is an
+    abstraction, else in the function if that holds one, else in the
+    argument; the last is in the argument if that holds one, else in the
+    function, else the node.  The descent reads the redex tags, so it never
+    enters a normal sub-tuple, and sub-tuples the step does not touch are
+    returned as they are.
+    """
+    path: list = []  # the steps down to the redex, appended on the way
 
     def go(node: CanonicalTerm) -> CanonicalTerm:  # node holds a redex
         if node[0] == "L":
+            path.append(INTO_BODY)
             return _abs_c(go(node[1]))
         fn, arg = node[1], node[2]
         if rightmost:
             if arg[0] in "AL":
+                path.append(INTO_ARG)
                 return _app_c(fn, go(arg))
             if fn[0] in "AL":
+                path.append(INTO_FN)
                 return _app_c(go(fn), arg)
             return _beta_canonical(fn[1], arg)
         if fn[0] in "lL":
             return _beta_canonical(fn[1], arg)
         if fn[0] == "A":
+            path.append(INTO_FN)
             return _app_c(go(fn), arg)
+        path.append(INTO_ARG)
         return _app_c(fn, go(arg))
 
-    return go(c) if c[0] in "AL" else None
+    return (go(c), tuple(path)) if c[0] in "AL" else None
 
 
 def is_normal_canonical(c: CanonicalTerm) -> bool:
     """is_normal_form on a canonical form: a test of its root's tag."""
     return c[0] not in "AL"
+
+
+def canonical_size(c: CanonicalTerm) -> int:
+    """term_size on a canonical form: its node count."""
+    n, stack = 0, [c]
+    while stack:
+        node = stack.pop()
+        n += 1
+        if node[0] in "lLaA":
+            stack += node[1:]
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +597,14 @@ class SubCalculus(Enum):
     LAMBDA_I = "lambda-I"  # no cancellation: every binder occurs in its body
     LAMBDA_A = "lambda-A"  # no copy: every binder occurs at most once
     BOTH = "both"  # linear: every binder occurs exactly once
+
+
+def _free_occurrences(t: Term, name: str) -> int:
+    if isinstance(t, Var):
+        return 1 if t.name == name else 0
+    if isinstance(t, Abs):
+        return 0 if t.binder == name else _free_occurrences(t.body, name)
+    return _free_occurrences(t.fn, name) + _free_occurrences(t.arg, name)
 
 
 def is_lambda_I(t: Term) -> bool:

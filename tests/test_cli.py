@@ -16,13 +16,13 @@ from lambdalab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
-    SweepRow,
     _json,
     fraction_to_decimal,
     main,
     resolve_term,
+    sweep_rows,
 )
-from lambdalab.laws import anchor_corpus, random_corpus
+from lambdalab.laws import GRID_WITH_ZERO, anchor_corpus, random_corpus
 from lambdalab.terms import SubCalculus, canonicalize, mk_Cn, mk_Mn, mk_Omega, parse, render
 
 
@@ -207,34 +207,38 @@ def test_analyze_rejects_decimal_eps(capsys):
 # sweep
 
 
+def _csv_rows(lines):
+    """The data lines of sweep's CSV as dicts keyed by the header's columns."""
+    return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines]
+
+
 def test_sweep_csv_header_and_roundtrip(capsys):
     code, out = run_cli(capsys, "sweep", "Mn:4", "--format", "csv")
     assert code == EXIT_OK
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
-    rows = [SweepRow.from_csv(line) for line in lines[1:]]
-    assert [r.to_csv() for r in rows] == lines[1:]
-    by_eps = {r.epsilon: r for r in rows}
-    assert by_eps[Fraction(1)].expected_length == 7  # n + 3 at eps = 1
-    assert all(r.n_ri is None for r in rows)  # "div": RI never terminates
-    assert by_eps[Fraction(0)].foster_bound is None  # bound undefined at eps=0
-    assert by_eps[Fraction(0)].expected_length is None
+    rows = sweep_rows("Mn:4", mk_Mn(4), GRID_WITH_ZERO, 10_000, 1000)  # the default grid
+    assert [",".join(map(str, r.values())) for r in rows] == lines[1:]
+    by_eps = {r["epsilon"]: r for r in _csv_rows(lines[1:])}
+    assert by_eps["1/1"]["expected_length"] == "7/1"  # n + 3 at eps = 1
+    assert all(r["n_ri"] == "div" for r in by_eps.values())  # RI never terminates
+    assert by_eps["0/1"]["foster_bound"] == "-"  # bound undefined at eps=0
+    assert by_eps["0/1"]["expected_length"] == "inf"
 
 
 def test_sweep_identity_all_zero(capsys):
     code, out = run_cli(capsys, "sweep", "I", "--format", "csv")
     assert code == EXIT_OK
-    for line in out.strip().splitlines()[1:]:
-        row = SweepRow.from_csv(line)
-        assert row.expected_length == 0 and row.n_lo == 0 and row.n_ri == 0
+    for row in _csv_rows(out.strip().splitlines()[1:]):
+        assert row["expected_length"] == "0/1" and row["n_lo"] == row["n_ri"] == "0"
 
 
 def test_sweep_custom_grid_sorted(capsys):
     code, out = run_cli(capsys, "sweep", "example1", "--grid", "3/4,1/4", "--format", "csv")
     assert code == EXIT_OK
-    rows = [SweepRow.from_csv(line) for line in out.strip().splitlines()[1:]]
-    assert [r.epsilon for r in rows] == [Fraction(1, 4), Fraction(3, 4)]
-    assert [r.expected_length for r in rows] == [4, Fraction(4, 3)]
+    rows = _csv_rows(out.strip().splitlines()[1:])
+    assert [r["epsilon"] for r in rows] == ["1/4", "3/4"]
+    assert [r["expected_length"] for r in rows] == ["4/1", "4/3"]
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -243,7 +247,7 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     lines = target.read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
-    assert SweepRow.from_csv(lines[-1]).term_id == "example2"
+    assert _csv_rows(lines[-1:])[0]["term_id"] == "example2"
 
 
 def test_sweep_byte_identical(capsys):

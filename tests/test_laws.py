@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from lambdalab import laws
+from lambdalab import laws, pars, repro
 from lambdalab.laws import (
     CorpusTerm,
     DEFAULT_GRAPH_CAP,
     DEFAULT_GRID,
+    DEFAULT_WN_FUEL,
     GRID_WITH_ZERO,
     LawReport,
     _acyclic,
@@ -23,6 +24,7 @@ from lambdalab.laws import (
     anchor_corpus,
     random_corpus,
     run_suite,
+    WN_SIZE_GUARD,
 )
 from lambdalab.strategies import StepCount, n_steps
 from lambdalab.terms import (
@@ -35,6 +37,9 @@ from lambdalab.terms import (
     mk_Omega,
     mk_example1,
     parse,
+    redexes,
+    reduce_at,
+    term_size,
 )
 
 
@@ -64,6 +69,37 @@ def test_lo_normalizes_size_guard():
     t = App(parse("\\x.x x x x"), spine)  # one LO step to a 4399-node normal form
     assert lo_normalizes(t, 10) is None
     assert n_steps(t, "lo", 10) == StepCount.reached(1)
+
+
+def _named_walk(t, rightmost, fuel, guard=None):
+    """Steps of the LO (or RI) walk on named terms, each contracting
+    redexes(t)[0] (or [-1]); None when fuel runs out or a reduct has more
+    than guard nodes."""
+    for n in range(fuel + 1):
+        paths = redexes(t)
+        if not paths:
+            return n
+        if n == fuel:
+            return None
+        t = reduce_at(t, paths[-1] if rightmost else paths[0])
+        if guard is not None and term_size(t) > guard:
+            return None
+
+
+@pytest.fixture(scope="module")
+def default_terms():
+    return [e.term for entries in default_corpora().values() for e in entries]
+
+
+def test_counts_on_canonical_forms_match_a_named_walk(default_terms):
+    for t in default_terms:
+        assert lo_normalizes(t, DEFAULT_WN_FUEL) == _named_walk(
+            t, False, DEFAULT_WN_FUEL, WN_SIZE_GUARD
+        )
+        for strategy in ("lo", "ri"):
+            steps = _named_walk(t, strategy == "ri", DEFAULT_WN_FUEL)
+            want = StepCount.exhausted(DEFAULT_WN_FUEL) if steps is None else StepCount.reached(steps)
+            assert n_steps(t, strategy, DEFAULT_WN_FUEL) == want
 
 
 def test_random_corpus_deterministic_and_filtered():
@@ -232,6 +268,26 @@ def test_run_suite_solves_each_term_once(small_corpora, monkeypatch):
     solved = {t for t, _ in calls}
     assert any(e.term in solved for e in small_corpora["lambda-A"])
     assert any(e.term in solved for e in small_corpora["full"])
+
+
+def test_run_all_solves_each_term_once(small_corpora, monkeypatch):
+    # criteria 5 (foster) and 7 (eps_minimum) share the grid solve of a term
+    monkeypatch.setattr(laws, "default_corpora", lambda: small_corpora)
+    for n in (1, 2, 3, 4, 6, 8, 9, 10):
+        monkeypatch.setattr(repro, f"criterion_{n}", lambda *args: None)
+    calls = []
+
+    def counting(t, grid, *args):
+        calls.append(t)
+        return pars.grid_expected_lengths(t, grid, *args)
+
+    monkeypatch.setattr(repro, "grid_expected_lengths", counting)
+    monkeypatch.setattr(laws, "grid_expected_lengths", counting)
+    results = [r for r in repro.run_all() if r is not None]
+    assert [r.number for r in results] == [5, 7]
+    assert calls and len(set(calls)) == len(calls)
+    both = {e.term for e in small_corpora["lambda-A"]} & set(calls)
+    assert both  # terms that both criteria check
 
 
 def test_run_suite_rejects_unknown():

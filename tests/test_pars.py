@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 
 from lambdalab import pars
 from lambdalab.laws import anchor_corpus, random_corpus
-from lambdalab.montecarlo import sample_run
+from lambdalab.montecarlo import estimate, sample_run
 from lambdalab.pars import (
     TRM,
     Configuration,
@@ -397,14 +397,14 @@ def test_rep_does_not_recurse_on_discovery_depth():
 
 
 def test_analyze_builds_no_representative(monkeypatch):
-    contract = pars.contract
+    reduce_at = pars.reduce_at
     calls = []
 
-    def counting(t, rightmost):
-        calls.append(rightmost)
-        return contract(t, rightmost)
+    def counting(t, path):
+        calls.append(path)
+        return reduce_at(t, path)
 
-    monkeypatch.setattr(pars, "contract", counting)
+    monkeypatch.setattr(pars, "reduce_at", counting)
     chain = analyze(mk_Mn(20), Strategy.peps(Fraction(1, 3)))
     assert calls == []
     chain.to_report()  # rendering the states builds their representatives
@@ -454,6 +454,46 @@ def test_one_state_components_skip_elimination(monkeypatch):
     chain = analyze(dup, Strategy.peps(Fraction(3, 7)))
     assert len(chain.states) > 1 and chain.expected_length is not None
     assert calls == []
+
+
+# Found by searching every term up to size 13 over one free variable for RI
+# cycles: RI alternates between two classes of the argument, and every LO
+# step erases it, so the run ends with LO's first step, after 1/eps steps on
+# average.
+MULTI_STATE = parse("(\\w.c) ((\\x.x x) (\\y.y (\\z.y z)))")
+
+
+@pytest.mark.parametrize("eps", [Fraction(2, 7), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)],
+                         ids=str)
+def test_multi_state_component_is_solved_by_elimination(monkeypatch, eps):
+    solve_linear = pars._solve_linear
+    sizes = []
+
+    def counting(matrix, rhs):
+        sizes.append((len(matrix), len(rhs)))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(pars, "_solve_linear", counting)
+    chain = analyze(MULTI_STATE, Strategy.peps(eps))
+    assert sizes == [(2, 2)]  # the origin's one-state component needs none
+    assert len(chain.states) == 3
+    assert chain.termination_prob == 1 and chain.expected_length == 1 / eps
+    assert solve_rows_dense(chain.states, chain.rows, chain.origin) == (1, 1 / eps)
+    # the length is geometric: P(length >= k) = (1 - eps)**(k - 1) for k >= 1
+    horizon = 40
+    trace = evolve_trace(MULTI_STATE, Strategy.peps(eps), horizon)
+    assert list(trace.masses[1:]) == [(1 - eps) ** (k - 1) for k in range(1, horizon + 1)]
+    tail = trace.trailing_mass * (1 - eps) / eps  # the steps beyond the horizon
+    assert expected_length_truncated(trace) + tail == 1 / eps
+    est = estimate(MULTI_STATE, Strategy.peps(eps), base_seed=7, n=2000, max_steps=2000)
+    assert est.cutoff_count == 0
+    assert abs(est.mean - float(1 / eps)) <= 3 * est.confidence_halfwidth_95
+
+
+def test_multi_state_component_never_terminates_under_ri():
+    chain = analyze(MULTI_STATE, Strategy.ri())
+    assert len(chain.states) == 3
+    assert chain.termination_prob == 0 and chain.expected_length is None
 
 
 @pytest.mark.parametrize("k", [20, 60])

@@ -24,7 +24,7 @@ from lambdalab.terms import (
     Var,
     alpha_eq,
     canonicalize,
-    is_anf_redex,
+    is_normal_canonical,
     is_normal_form,
     mk_I,
     mk_Mn,
@@ -33,6 +33,8 @@ from lambdalab.terms import (
     mk_example2,
     random_term,
     redexes,
+    reduce_at,
+    subterm_at,
 )
 
 from conftest import reducible_terms, terms
@@ -92,7 +94,7 @@ def test_full_ri_sequence_example2():
 @given(reducible_terms)
 def test_ri_step_is_argument_normal(t):
     paths = redexes(t)
-    assert is_anf_redex(t, paths[-1])
+    assert is_normal_form(subterm_at(t, paths[-1]).arg)
     u = step_ri(t)
     assert any(alpha_eq(u, v) for v in anf_successors(t))
 
@@ -190,9 +192,13 @@ def test_n_steps_fuel_boundary(term, strategy, n):
 
 @pytest.mark.parametrize("strategy, step", [("lo", step_lo), ("ri", step_ri)])
 def test_walk_yields_each_reduct_down_to_the_normal_form(strategy, step):
-    path = list(walk(EX2, strategy))
-    assert path[0] is EX2 and is_normal_form(path[-1])
-    assert all(step(u) == v for u, v in zip(path, path[1:]))
+    walked = list(walk(EX2, strategy))
+    assert walked[0] == (canonicalize(EX2), None) and is_normal_canonical(walked[-1][0])
+    u = EX2
+    for c, path in walked[1:]:  # replaying each path gives the named step
+        v = reduce_at(u, path)
+        assert v == step(u) and canonicalize(v) == c
+        u = v
 
 
 def test_walk_rejects_a_mixture():

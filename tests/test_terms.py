@@ -15,12 +15,11 @@ from lambdalab.terms import (
     SubCalculus,
     Var,
     alpha_eq,
+    canonical_size,
     canonicalize,
     classify,
-    contract,
     contract_canonical,
     free_vars,
-    is_anf_redex,
     is_lambda_A,
     is_lambda_I,
     is_normal_canonical,
@@ -32,7 +31,6 @@ from lambdalab.terms import (
     mk_example1,
     mk_example2,
     mk_omega,
-    multiplicity,
     parse,
     random_term,
     redexes,
@@ -259,9 +257,7 @@ def test_reduce_at_invalid_path():
     with pytest.raises(InvalidPath):
         reduce_at(EX2, ("fn",))
     with pytest.raises(InvalidPath):
-        is_anf_redex(EX2, ("fn",))
-    with pytest.raises(InvalidPath):
-        multiplicity(I, ())
+        reduce_at(EX2, ("body",))
 
 
 def test_redexes_do_not_recurse_on_deep_terms():
@@ -280,6 +276,20 @@ def test_redexes_do_not_recurse_on_deep_terms():
         sys.setrecursionlimit(limit)
     assert spine_paths == [("fn",) * n]
     assert nested_paths == [("body",) * n]
+
+
+def test_reduce_at_does_not_recurse_on_deep_paths():
+    n = 30_000
+    spine = App(I, Var("y"))  # the one redex, at the bottom of the spine
+    for _ in range(n):
+        spine = App(spine, Var("y"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        reduct = reduce_at(spine, ("fn",) * n)
+        assert redexes(reduct) == [] and subterm_at(reduct, ("fn",) * n) == Var("y")
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +313,19 @@ CONTRACTION_ANCHORS = [
 
 
 def _assert_contractions_agree(t):
+    """The canonical step goes down the path of the pre-order-first redex
+    (LO) or last redex (RI), and replaying that path on t gives the step's
+    reduct."""
     paths = redexes(t)
     c = canonicalize(t)
     for rightmost in (False, True):
-        u = contract(t, rightmost)
-        assert contract_canonical(c, rightmost) == (None if u is None else canonicalize(u))
+        step = contract_canonical(c, rightmost)
         if paths:
-            assert u == reduce_at(t, paths[-1] if rightmost else paths[0])
+            reduct, path = step
+            assert path == (paths[-1] if rightmost else paths[0])
+            assert canonicalize(reduce_at(t, path)) == reduct
         else:
-            assert u is None
+            assert step is None
     assert is_normal_canonical(c) == is_normal_form(t) == (not paths)
 
 
@@ -333,27 +347,20 @@ def test_contractions_agree_on_random_terms(seed, tag):
 
 def test_contract_canonical_shares_untouched_subterms():
     c = canonicalize(parse("\\w.(\\x.x) y (\\z.z w)"))
-    lo = contract_canonical(c, False)
-    assert lo == canonicalize(parse("\\w.y (\\z.z w)"))
+    lo, path = contract_canonical(c, False)
+    assert lo == canonicalize(parse("\\w.y (\\z.z w)")) and path == ("body", "fn")
     assert lo[1][2] is c[1][2]
+
+
+@given(terms)
+def test_canonical_size_is_term_size(t):
+    assert canonical_size(canonicalize(t)) == term_size(t)
 
 
 def test_is_normal_form():
     assert is_normal_form(I)
     assert is_normal_form(App(App(Var("x"), Abs("y", Var("y"))), Var("z")))
     assert not is_normal_form(App(I, I))
-
-
-def test_is_anf_redex():
-    assert not is_anf_redex(EX2, ())  # argument I I is reducible
-    assert is_anf_redex(EX2, ("arg",))
-    assert is_anf_redex(EX1, ("arg",))  # omega is normal
-
-
-def test_multiplicity():
-    assert multiplicity(EX2, ()) == 2
-    assert multiplicity(EX1, ()) == 0
-    assert multiplicity(App(I, Var("y")), ()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +458,10 @@ def _assert_tag_invariant(t):
     _assert_tags_match(t, c)
     assert is_normal_canonical(c) == is_normal_form(t)
     for rightmost in (False, True):
-        u = contract(t, rightmost)
-        if u is not None:
-            _assert_tags_match(u, contract_canonical(c, rightmost))
+        step = contract_canonical(c, rightmost)
+        if step is not None:
+            reduct, path = step
+            _assert_tags_match(reduce_at(t, path), reduct)
 
 
 @given(terms)
@@ -472,10 +480,10 @@ def test_beta_step_that_creates_a_redex_tags_it():
     c = canonicalize(parse("(\\x.x y) (\\z.z)"))
     assert c == ("A", ("l", ("a", ("b", 0), ("f", "y"))), ("l", ("b", 0)))
     for rightmost in (False, True):
-        reduct = contract_canonical(c, rightmost)
-        assert reduct == ("A", ("l", ("b", 0)), ("f", "y"))
+        reduct, path = contract_canonical(c, rightmost)
+        assert reduct == ("A", ("l", ("b", 0)), ("f", "y")) and path == ()
         assert not is_normal_canonical(reduct)
-        assert contract_canonical(reduct, rightmost) == ("f", "y")
+        assert contract_canonical(reduct, rightmost) == (("f", "y"), ())
 
 
 # ---------------------------------------------------------------------------
