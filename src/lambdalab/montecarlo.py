@@ -1,12 +1,18 @@
 """Seeded Monte Carlo simulation of probabilistic reduction.
 
 The pseudo-random generator is pinned: SplitMix64 (Steele, Lea & Flood's
-64-bit mixer, the de-facto standard seeding generator), one instance per
-run, seeded with that run's 64-bit seed.  A step whose distribution has
-common denominator den consumes uniform draws below den produced by
-top-bits rejection, so a branch with probability num/den is taken with
-exactly that probability; Dirac steps consume no randomness.  Golden tests
-depend on this scheme; never change it silently.
+64-bit mixer, the de-facto standard seeding generator), seeded with each
+run's 64-bit seed.  A step whose distribution has common denominator den
+consumes uniform draws below den produced by top-bits rejection, so a
+branch with probability num/den is taken with exactly that probability;
+a step with one successor consumes no randomness.  Golden tests depend on
+this scheme; never change it silently.
+
+Runs count steps on a jump table indexed by class id: each side of a
+branching class jumps over the draw-free steps that follow its draw, so a
+run costs one lookup per draw.  estimate reseeds one generator per run.
+Each draw stays a call of SplitMix64.below, which calls next_u64, because
+the benchmark's tracer counts draws and rejections by wrapping these two.
 """
 
 from __future__ import annotations
@@ -74,108 +80,123 @@ _UNCOMPILED = object()  # table slot of a class whose row is not compiled yet
 
 
 class _Sampler:
-    """A strategy's successors on one StateGraph, compiled lazily into
-    exact integer sampling tables indexed by class id.
+    """A strategy's seeded runs from one term, on a jump table over one
+    StateGraph.  A class branches when its LO- and RI-successors differ.
 
-    A table is None for a normal form, the successor id when no draw is
-    needed, and (den, cut, lo, ri) otherwise, with cut/den = eps in lowest
-    terms: a uniform draw below den selects the LO-successor lo when it is
-    below cut, else ri.
+    tables[i] is compiled when a run first lands on class i: None for a
+    normal form, else (den, cut, lo, ri) with cut/den = eps in lowest terms;
+    a uniform draw below den takes the jump lo when it is below cut, else ri.
+    A jump (steps, landing, side) is the step to the LO- (side 0) or
+    RI-successor (side 1) and the draw-free steps after it, steps in all.
     """
 
-    def __init__(self, t: Term, strategy: Strategy):
+    def __init__(self, t: Term, strategy: Strategy, max_steps: int):
         self.graph = StateGraph()
         self.eps = strategy.eps
-        self.origin = self.graph.intern(t)
+        self.max_steps = max_steps
+        self.start = self._land(self.graph.intern(t), 0)
         self.tables: list = [_UNCOMPILED] * len(self.graph.forms)
 
+    def _land(self, i: int, steps: int) -> tuple:
+        """(steps + k, landing): the k draw-free steps from class i end at
+        landing, the first normal or branching class; (max_steps + 1, None)
+        when they loop or run past max_steps, where the walk stops."""
+        graph, eps = self.graph, self.eps
+        seen = set()
+        while steps <= self.max_steps and i not in seen:
+            if graph.is_normal(i):
+                return steps, i
+            targets = graph.successors(i, eps)
+            if len(targets) > 1:
+                return steps, i
+            seen.add(i)
+            i = targets[0]
+            steps += 1
+        return self.max_steps + 1, None
+
     def _compile(self, i: int):
-        if self.graph.is_normal(i):
-            table = None
-        else:
-            targets = self.graph.successors(i, self.eps)
-            if len(targets) == 1:
-                table = targets[0]
-            else:
-                table = (self.eps.denominator, self.eps.numerator) + targets
+        table = None
+        if not self.graph.is_normal(i):
+            lo, ri = self.graph.successors(i, self.eps)
+            table = (self.eps.denominator, self.eps.numerator,
+                     self._land(lo, 1) + (0,), self._land(ri, 1) + (1,))
         self.tables[i] = table
         self.tables += [_UNCOMPILED] * (len(self.graph.forms) - len(self.tables))
         return table
 
-    def path(self, seed: int, max_steps: int) -> list[int]:
-        """Class ids one seeded run visits, origin first; the run stops at a
-        normal form or after max_steps steps."""
-        rng = SplitMix64(seed)
-        tables = self.tables
-        state = self.origin
-        path = [state]
-        for _ in range(max_steps):
+    def run(self, below, taken: Optional[list] = None) -> tuple[int, Optional[int]]:
+        """(steps, normal class) of one run that draws with below, or
+        (max_steps, None) when it is cut off; taken, if given, receives the
+        side of each draw."""
+        steps, state = self.start
+        tables, max_steps = self.tables, self.max_steps
+        while steps <= max_steps:
             table = tables[state]
             if table is _UNCOMPILED:
                 table = self._compile(state)
             if table is None:
+                return steps, state
+            if steps == max_steps:
                 break
-            if isinstance(table, int):
-                state = table
-            else:
-                den, cut, lo, ri = table
-                state = lo if rng.below(den) < cut else ri
-            path.append(state)
-        return path
+            den, cut, lo, ri = table
+            jump, state, side = lo if below(den) < cut else ri
+            if taken is not None:
+                taken.append(side)
+            steps += jump
+        return max_steps, None
 
 
 def sample_path(t: Term, strategy: Strategy, seed: int, max_steps: int) -> tuple[list, bool]:
     """Representatives of the classes one seeded run visits, origin first,
     and whether the run reached a normal form within max_steps steps."""
-    sampler = _Sampler(t, strategy)
-    path = sampler.path(seed, max_steps)
-    return [sampler.graph.rep(i) for i in path], sampler.graph.is_normal(path[-1])
+    taken: list[int] = []
+    _, final = _Sampler(t, strategy, max_steps).run(SplitMix64(seed).below, taken)
+    # replayed on a fresh graph, which finds the classes in the order the
+    # run visits them, so a representative comes from the first step to it
+    graph, sides = StateGraph(), iter(taken)
+    path = [graph.intern(t)]
+    while len(path) <= max_steps and not graph.is_normal(path[-1]):
+        targets = graph.successors(path[-1], strategy.eps)
+        path.append(targets[0] if len(targets) == 1 else targets[next(sides)])
+    return [graph.rep(i) for i in path], final is not None
 
 
 def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunResult:
     """One seeded trajectory of the strategy, cut off after max_steps."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    sampler = _Sampler(t, strategy)
-    path = sampler.path(seed, max_steps)
-    if not sampler.graph.is_normal(path[-1]):
+    sampler = _Sampler(t, strategy, max_steps)
+    steps, final = sampler.run(SplitMix64(seed).below)
+    if final is None:
         return RunResult(StepCount.exhausted(max_steps), None, seed)
-    return RunResult(StepCount.reached(len(path) - 1), sampler.graph.forms[path[-1]], seed)
+    return RunResult(StepCount.reached(steps), sampler.graph.forms[final], seed)
 
 
-def estimate(
-    t: Term,
-    strategy: Strategy,
-    base_seed: int,
-    n: int,
-    max_steps: int,
-) -> Estimate:
+def estimate(t: Term, strategy: Strategy, base_seed: int, n: int, max_steps: int) -> Estimate:
     """n independent runs with seeds base_seed..base_seed+n-1.
 
-    A pure function of its arguments: transitions are memoized across runs
-    but each run draws only from its own generator, so the result is the
-    same as n isolated sample_run calls.
+    A pure function of its arguments: the runs count steps on one jump
+    table and draw from one generator, reseeded to each run's seed, so the
+    result is the same as n isolated sample_run calls.  Draws stay calls of
+    SplitMix64.below because the benchmark's tracer counts them there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    sampler = _Sampler(t, strategy)
+    sampler = _Sampler(t, strategy, max_steps)
+    rng = SplitMix64(base_seed)
+    run, below = sampler.run, rng.below
     finite_steps: list[int] = []
-    cutoff_count = 0
     for i in range(n):
-        path = sampler.path(base_seed + i, max_steps)
-        if sampler.graph.is_normal(path[-1]):
-            finite_steps.append(len(path) - 1)
-        else:
-            cutoff_count += 1
+        rng.state = (base_seed + i) & _MASK64
+        steps, final = run(below)
+        if final is not None:
+            finite_steps.append(steps)
     m = len(finite_steps)
     if m == 0:
-        return Estimate(n, cutoff_count, 0.0, 0.0, 0.0)
+        return Estimate(n, n, 0.0, 0.0, 0.0)
     mean = sum(finite_steps) / m
-    if m > 1:
-        variance = sum((x - mean) ** 2 for x in finite_steps) / (m - 1)
-    else:
-        variance = 0.0
+    variance = sum((x - mean) ** 2 for x in finite_steps) / (m - 1) if m > 1 else 0.0
     halfwidth = 1.96 * math.sqrt(variance / m)
-    return Estimate(n, cutoff_count, mean, variance, halfwidth)
+    return Estimate(n, n - m, mean, variance, halfwidth)

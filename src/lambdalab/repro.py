@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 
 from . import laws
 from .laws import DEFAULT_GRID, lo_normalizes
@@ -22,7 +23,7 @@ from .pars import (
     expected_length_truncated,
     grid_expected_lengths,
 )
-from .strategies import StepCount, Strategy, n_steps
+from .strategies import StepCount, Strategy, n_steps, walk
 from .terms import (
     App,
     SubCalculus,
@@ -33,6 +34,7 @@ from .terms import (
     mk_example2,
     mk_I,
     mk_Mn,
+    reduce_at,
     render,
 )
 
@@ -68,19 +70,16 @@ def criterion_1() -> CriterionResult:
     return _result(1, "cancelling example: LO=1, RI diverges", started, passed, detail)
 
 
-def _follow(t: Term, strategy: Strategy, expected: list[Term]) -> tuple[bool, list[str]]:
+def _follow(t: Term, strategy: str, expected: list[Term]) -> tuple[bool, list[str]]:
     seen = [render(t)]
     current = t
-    for want in expected:
-        dist = strategy.distribution(current)
-        if dist is None:
-            return False, seen
-        assert len(dist.masses) == 1
-        current = dist.rep(next(iter(dist.masses)))
+    steps = islice(walk(t, strategy), 1, None)
+    for want, (_, path) in zip(expected, steps):
+        current = reduce_at(current, path)
         seen.append(render(current))
         if not alpha_eq(current, want):
             return False, seen
-    return strategy.distribution(current) is None, seen
+    return len(seen) == len(expected) + 1 and next(steps, None) is None, seen
 
 
 def criterion_2() -> CriterionResult:
@@ -91,8 +90,8 @@ def criterion_2() -> CriterionResult:
     ii = App(i, i)
     lo_expected = [App(ii, ii), App(i, ii), ii, i]
     ri_expected = [App(t.fn, i), ii, i]
-    ok_lo, lo_seen = _follow(t, Strategy.lo(), lo_expected)
-    ok_ri, ri_seen = _follow(t, Strategy.ri(), ri_expected)
+    ok_lo, lo_seen = _follow(t, "lo", lo_expected)
+    ok_ri, ri_seen = _follow(t, "ri", ri_expected)
     lo_count = n_steps(t, "lo", 10)
     ri_count = n_steps(t, "ri", 10)
     passed = (

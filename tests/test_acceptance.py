@@ -25,7 +25,13 @@ def test_criterion_01_cancelling_example_golden():
 
 
 def test_criterion_02_duplicating_example_golden():
-    _check(repro.criterion_2())
+    result = repro.criterion_2()
+    _check(result)
+    assert result.detail == (
+        "LO: (\\x.x x) ((\\x.x) (\\x.x)) -> (\\x.x) (\\x.x) ((\\x.x) (\\x.x))"
+        " -> (\\x.x) ((\\x.x) (\\x.x)) -> (\\x.x) (\\x.x) -> \\x.x"
+        " | RI: (\\x.x x) ((\\x.x) (\\x.x)) -> (\\x.x x) (\\x.x) -> (\\x.x) (\\x.x) -> \\x.x"
+    )
 
 
 def test_criterion_03_one_over_eps_exact():
