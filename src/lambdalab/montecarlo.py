@@ -76,9 +76,6 @@ class Estimate:
     confidence_halfwidth_95: float
 
 
-_UNCOMPILED = object()  # table slot of a class whose row is not compiled yet
-
-
 class _Sampler:
     """A strategy's seeded runs from one term, on a jump table over one
     StateGraph.  A class branches when its LO- and RI-successors differ.
@@ -86,27 +83,28 @@ class _Sampler:
     tables[i] is compiled when a run first lands on class i: None for a
     normal form, else (den, cut, lo, ri) with cut/den = eps in lowest terms;
     a uniform draw below den takes the jump lo when it is below cut, else ri.
-    A jump (steps, landing, side) is the step to the LO- (side 0) or
-    RI-successor (side 1) and the draw-free steps after it, steps in all.
+    A jump (steps, landing) is the step to the LO- or RI-successor and the
+    draw-free steps after it, steps in all.
     """
 
     def __init__(self, t: Term, strategy: Strategy, max_steps: int):
+        if max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         self.graph = StateGraph()
         self.eps = strategy.eps
         self.max_steps = max_steps
         self.start = self._land(self.graph.intern(t), 0)
-        self.tables: list = [_UNCOMPILED] * len(self.graph.forms)
+        self.tables: dict = {}
 
     def _land(self, i: int, steps: int) -> tuple:
         """(steps + k, landing): the k draw-free steps from class i end at
         landing, the first normal or branching class; (max_steps + 1, None)
         when they loop or run past max_steps, where the walk stops."""
-        graph, eps = self.graph, self.eps
         seen = set()
         while steps <= self.max_steps and i not in seen:
-            if graph.is_normal(i):
+            if self.graph.is_normal(i):
                 return steps, i
-            targets = graph.successors(i, eps)
+            targets = self.graph.successors(i, self.eps)
             if len(targets) > 1:
                 return steps, i
             seen.add(i)
@@ -119,29 +117,26 @@ class _Sampler:
         if not self.graph.is_normal(i):
             lo, ri = self.graph.successors(i, self.eps)
             table = (self.eps.denominator, self.eps.numerator,
-                     self._land(lo, 1) + (0,), self._land(ri, 1) + (1,))
+                     self._land(lo, 1), self._land(ri, 1))
         self.tables[i] = table
-        self.tables += [_UNCOMPILED] * (len(self.graph.forms) - len(self.tables))
         return table
 
-    def run(self, below, taken: Optional[list] = None) -> tuple[int, Optional[int]]:
+    def run(self, below) -> tuple[int, Optional[int]]:
         """(steps, normal class) of one run that draws with below, or
-        (max_steps, None) when it is cut off; taken, if given, receives the
-        side of each draw."""
+        (max_steps, None) when it is cut off."""
         steps, state = self.start
         tables, max_steps = self.tables, self.max_steps
         while steps <= max_steps:
-            table = tables[state]
-            if table is _UNCOMPILED:
+            try:
+                table = tables[state]
+            except KeyError:
                 table = self._compile(state)
             if table is None:
                 return steps, state
             if steps == max_steps:
                 break
             den, cut, lo, ri = table
-            jump, state, side = lo if below(den) < cut else ri
-            if taken is not None:
-                taken.append(side)
+            jump, state = lo if below(den) < cut else ri
             steps += jump
         return max_steps, None
 
@@ -149,22 +144,18 @@ class _Sampler:
 def sample_path(t: Term, strategy: Strategy, seed: int, max_steps: int) -> tuple[list, bool]:
     """Representatives of the classes one seeded run visits, origin first,
     and whether the run reached a normal form within max_steps steps."""
-    taken: list[int] = []
-    _, final = _Sampler(t, strategy, max_steps).run(SplitMix64(seed).below, taken)
-    # replayed on a fresh graph, which finds the classes in the order the
-    # run visits them, so a representative comes from the first step to it
-    graph, sides = StateGraph(), iter(taken)
+    # stepped one class at a time, not on a jump table, so the graph finds
+    # each class on the first step to it and names it after that step
+    rng, eps, graph = SplitMix64(seed), strategy.eps, StateGraph()
     path = [graph.intern(t)]
     while len(path) <= max_steps and not graph.is_normal(path[-1]):
-        targets = graph.successors(path[-1], strategy.eps)
-        path.append(targets[0] if len(targets) == 1 else targets[next(sides)])
-    return [graph.rep(i) for i in path], final is not None
+        targets = graph.successors(path[-1], eps)
+        path.append(targets[len(targets) > 1 and rng.below(eps.denominator) >= eps.numerator])
+    return [graph.rep(i) for i in path], graph.is_normal(path[-1])
 
 
 def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunResult:
     """One seeded trajectory of the strategy, cut off after max_steps."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     sampler = _Sampler(t, strategy, max_steps)
     steps, final = sampler.run(SplitMix64(seed).below)
     if final is None:
@@ -172,7 +163,13 @@ def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunRes
     return RunResult(StepCount.reached(steps), sampler.graph.forms[final], seed)
 
 
-def estimate(t: Term, strategy: Strategy, base_seed: int, n: int, max_steps: int) -> Estimate:
+def estimate(
+    t: Term,
+    strategy: Strategy,
+    base_seed: int,
+    n: int,
+    max_steps: int,
+) -> Estimate:
     """n independent runs with seeds base_seed..base_seed+n-1.
 
     A pure function of its arguments: the runs count steps on one jump
@@ -182,21 +179,24 @@ def estimate(t: Term, strategy: Strategy, base_seed: int, n: int, max_steps: int
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    sampler = _Sampler(t, strategy, max_steps)
     rng = SplitMix64(base_seed)
-    run, below = sampler.run, rng.below
+    run, below = _Sampler(t, strategy, max_steps).run, rng.below
     finite_steps: list[int] = []
+    cutoff_count = 0
     for i in range(n):
         rng.state = (base_seed + i) & _MASK64
         steps, final = run(below)
         if final is not None:
             finite_steps.append(steps)
+        else:
+            cutoff_count += 1
     m = len(finite_steps)
     if m == 0:
-        return Estimate(n, n, 0.0, 0.0, 0.0)
+        return Estimate(n, cutoff_count, 0.0, 0.0, 0.0)
     mean = sum(finite_steps) / m
-    variance = sum((x - mean) ** 2 for x in finite_steps) / (m - 1) if m > 1 else 0.0
+    if m > 1:
+        variance = sum((x - mean) ** 2 for x in finite_steps) / (m - 1)
+    else:
+        variance = 0.0
     halfwidth = 1.96 * math.sqrt(variance / m)
-    return Estimate(n, n - m, mean, variance, halfwidth)
+    return Estimate(n, cutoff_count, mean, variance, halfwidth)
