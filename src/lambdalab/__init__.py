@@ -9,14 +9,12 @@ executable law suite.
 from .montecarlo import Estimate, RunResult, estimate, sample_run
 from .pars import (
     ChainAnalysis,
-    Configuration,
     EvolutionTrace,
     SingularSystem,
     StateCapExceeded,
     TRM,
     analyze,
     derivation_length_dist,
-    evolve,
     evolve_trace,
     expected_length_truncated,
     explore_states,

@@ -10,10 +10,12 @@ Each call below builds one graph and runs every eps it needs over it:
 * configuration evolution — a partial distribution over alpha-classes is
   pushed one step at a time; normal forms absorb, so their mass leaves the
   configuration and |rho_k| is the probability that a run takes k steps or
-  more (evolve is the graph-free reference for evolve_trace).  A row
-  weighs its targets by eps, 1 - eps or 1, so evolve_trace carries integer
-  masses over a power of eps.denominator and reduces them by gcds against
-  that small denominator, never against the big one;
+  more.  A row weighs its targets by eps, 1 - eps or 1, so evolve_trace
+  carries integer masses over a power of d = eps.denominator, keeps a table
+  of those powers, and reduces each mass by stripping whole factors of d
+  with divmod and reading its denominator from the table: a prime d needs
+  no gcd beyond one of two small numbers and never a division of the big
+  denominator;
 * the reachable-state chain — breadth-first closure of the start class
   under the strategy's rows, with every normal form collapsed into a single
   absorbing class ``trm``, solved exactly for the absorption probability
@@ -207,42 +209,7 @@ class StateGraph:
 
 
 # ---------------------------------------------------------------------------
-# configurations and evolution
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Partial distribution over alpha-classes at a given step index."""
-
-    masses: dict  # CanonicalTerm -> Fraction, all > 0
-    reps: dict  # CanonicalTerm -> Term
-    step: int = 0
-
-    @classmethod
-    def dirac(cls, t: Term) -> "Configuration":
-        return cls({canonicalize(t): Fraction(1)}, {canonicalize(t): t}, 0)
-
-    @property
-    def mass(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
-
-
-def evolve(config: Configuration, strategy: Strategy) -> Configuration:
-    """Push every unit of mass one step along the strategy.
-
-    Normal-form states have no outgoing transitions, so their mass simply
-    disappears; total mass is therefore non-increasing.
-    """
-    masses: dict[CanonicalTerm, Fraction] = {}
-    reps: dict[CanonicalTerm, Term] = {}
-    for c, m in config.masses.items():
-        dist = strategy.distribution(config.reps[c])
-        if dist is None:
-            continue
-        for c2, p in dist.items():
-            masses[c2] = masses.get(c2, Fraction(0)) + m * p
-            reps.setdefault(c2, dist.rep(c2))
-    return Configuration(masses, reps, config.step + 1)
+# evolution
 
 
 @dataclass(frozen=True)
@@ -252,14 +219,17 @@ class EvolutionTrace:
     Every eps-row weighs its targets by eps, 1 - eps or 1, so a step's
     common denominator is 1 or d = eps.denominator, and the mass at step i
     is the integer N_i over d**s_i, where s_i counts the steps so far that
-    split some mass two ways.  unreduced keeps those (N_i, s_i) pairs, and
-    base keeps d, so the functions below can work in integers and reduce
-    each result once; neither takes part in equality.
+    split some mass two ways.  unreduced keeps those (N_i, s_i) pairs, base
+    keeps d and powers the table powers[k] == d**k up to the last s_i, so
+    the functions below can work in integers, read every denominator from
+    the table and reduce each result once; none of the three takes part in
+    equality.
     """
 
     masses: tuple  # Fractions, length horizon + 1, masses[0] == 1
     unreduced: tuple = field(compare=False, repr=False)  # (N_i, s_i) per step
     base: int = field(compare=False, repr=False)  # d, eps's denominator
+    powers: tuple = field(compare=False, repr=False)  # d**0, d**1, ..., d**s_H
 
     @property
     def horizon(self) -> int:
@@ -281,39 +251,52 @@ else:
 _REDUCE_ROUNDS = 3
 
 
-def _reduced(n: int, den: int, d: int) -> Fraction:
-    """n / den as a Fraction, for a den whose prime factors all divide d.
+def _reduced(n: int, s: int, d: int, powers) -> Fraction:
+    """n / d**s in lowest terms, for a table with powers[k] == d**k.
 
-    A factor that n shares with den then divides gcd(n, d, den), a gcd that
-    costs one pass over n and one over den because d is small, so each
-    round divides that gcd out of both and n / den is in lowest terms once
-    it is 1.  A mass of 0 or 1 is returned at once.  After _REDUCE_ROUNDS
-    rounds (n = d**(s-1) over d**s would take s - 1 of them) Fraction's own
+    A mass of 0 or 1 is returned at once.  Otherwise whole factors of d
+    come off n by divmod, each one stepping s down, and the denominator is
+    read from the table, never divided.  What is left of n then shares a
+    factor with d**s only if it shares one with d, a gcd of two small
+    numbers that is 1 whenever d is prime.  A composite d can leave a
+    proper factor of itself in n; rounds of gcds against d divide it out of
+    n and the denominator, and after _REDUCE_ROUNDS of them Fraction's own
     gcd finishes the job.
     """
     if n == 0:
         return _ZERO
-    if n == den:
+    if n == powers[s]:
         return _ONE
+    while s:
+        q, r = divmod(n, d)
+        if r:
+            break
+        n, s = q, s - 1
+    else:
+        return _coprime(n, 1)
+    den = powers[s]
+    g = gcd(r, d)  # the gcd of n and d**s, as s >= 1
     for _ in range(_REDUCE_ROUNDS):
-        g = gcd(n, d, den)
         if g == 1:
             return _coprime(n, den)
         n //= g
         den //= g
-    return Fraction(n, den)
+        g = gcd(n, d, den)
+    return _coprime(n, den) if g == 1 else Fraction(n, den)
 
 
 def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     """Masses of the Dirac-started evolution, recorded up to the horizon.
 
-    Equivalent to iterating evolve().  Each class keeps its successor ids,
-    and the masses are integer numerators over the running denominator
-    d**s, d = eps.denominator: a step weighs a two-way row's targets by
-    eps.numerator and d - eps.numerator and a one-way row's by d, and
-    multiplies the denominator by d, when some current class splits, and
-    moves every mass unweighted otherwise.  Each recorded mass is reduced
-    by gcds against the small d, not against the big denominator.
+    Each class keeps its successor ids, and the masses are integer
+    numerators over the running denominator d**s, d = eps.denominator: a
+    step weighs a two-way row's targets by eps.numerator and
+    d - eps.numerator and a one-way row's by d, and steps s up, when some
+    current class splits, and moves every mass unweighted otherwise.  The
+    table of powers of d grows by one entry whenever s does, and each
+    recorded mass is reduced against it by _reduced, so a prime d costs no
+    big gcd and no big division.  Once every mass is absorbed, the rest of
+    the trace is zeros and is not stepped.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -323,10 +306,16 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     graph = StateGraph()
     rows: dict[int, Optional[tuple]] = {}  # successor ids, None for a normal form
     current: dict[int, int] = {graph.intern(t): 1}
-    s, den = 0, 1
+    s = 0
+    powers = [1]
     unreduced = [(1, 0)]
     masses = [_ONE]
     for _ in range(horizon):
+        if not current:
+            rest = horizon + 1 - len(masses)
+            unreduced += [(0, s)] * rest
+            masses += [_ZERO] * rest
+            break
         split = False
         for i in current:
             if i not in rows:
@@ -347,12 +336,12 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
                 nxt[j] = nxt.get(j, 0) + m * one_way
         if split:
             s += 1
-            den *= d
+            powers.append(powers[-1] * d)
         current = nxt
         n = sum(current.values())
         unreduced.append((n, s))
-        masses.append(_reduced(n, den, d))
-    return EvolutionTrace(tuple(masses), tuple(unreduced), d)
+        masses.append(_reduced(n, s, d, powers))
+    return EvolutionTrace(tuple(masses), tuple(unreduced), d, tuple(powers))
 
 
 def derivation_length_dist(trace: EvolutionTrace) -> dict[int, Fraction]:
@@ -365,17 +354,14 @@ def derivation_length_dist(trace: EvolutionTrace) -> dict[int, Fraction]:
     """
     if len(trace.masses) < 2:
         raise ValueError("trace needs at least two entries")
-    d = trace.base
+    d, powers = trace.base, trace.powers
     out: dict[int, Fraction] = {}
-    den = 1
     for i, ((n, s), (n_next, s_next)) in enumerate(
         zip(trace.unreduced, trace.unreduced[1:])
     ):
-        scale = d ** (s_next - s)
-        den *= scale
-        drop = n * scale - n_next
+        drop = n * powers[s_next - s] - n_next
         if drop:
-            out[i] = _reduced(drop, den, d)
+            out[i] = _reduced(drop, s_next, d, powers)
     return out
 
 
@@ -384,14 +370,12 @@ def expected_length_truncated(trace: EvolutionTrace) -> Fraction:
     exact whenever the trailing mass is zero.  The sum is taken over the
     last step's denominator d**s by a Horner pass, which scales the running
     numerator by d**(s_i - s_(i-1)) before adding N_i, and reduced once."""
-    d = trace.base
-    total, den, s = 0, 1, 0
+    powers = trace.powers
+    total, s = 0, 0
     for n, s_i in trace.unreduced[1:]:
-        scale = d ** (s_i - s)
-        total = total * scale + n
-        den *= scale
+        total = total * powers[s_i - s] + n
         s = s_i
-    return _reduced(total, den, d)
+    return _reduced(total, s, trace.base, powers)
 
 
 # ---------------------------------------------------------------------------

@@ -250,10 +250,10 @@ def criterion_8(corpora=None) -> CriterionResult:
 def _masses_increase(trace: EvolutionTrace) -> bool:
     """Whether some mass N_(i+1) / d**s_(i+1) of the trace exceeds the one
     before it, N_i / d**s_i, compared in integers by scaling N_i by
-    d**(s_(i+1) - s_i)."""
-    d = trace.base
+    d**(s_(i+1) - s_i), read from the trace's table of powers of d."""
+    powers = trace.powers
     return any(
-        n_next > n * d ** (s_next - s)
+        n_next > n * powers[s_next - s]
         for (n, s), (n_next, s_next) in zip(trace.unreduced, trace.unreduced[1:])
     )
 
@@ -264,7 +264,7 @@ def _mass_conserved(drops: dict, trace: EvolutionTrace) -> bool:
     Each reduced Fraction is lifted to the last common denominator d**s,
     which its denominator must divide, and the numerators are summed, so a
     wrongly reduced drop or mass still fails the check."""
-    den = trace.base ** trace.unreduced[-1][1]
+    den = trace.powers[trace.unreduced[-1][1]]
     total = 0
     for mass in (*drops.values(), trace.trailing_mass):
         scale, rest = divmod(den, mass.denominator)

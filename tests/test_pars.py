@@ -12,13 +12,11 @@ from lambdalab.laws import anchor_corpus, random_corpus
 from lambdalab.montecarlo import estimate, sample_run
 from lambdalab.pars import (
     TRM,
-    Configuration,
     StateCapExceeded,
     StateGraph,
     _solve_rows,
     analyze,
     derivation_length_dist,
-    evolve,
     evolve_trace,
     expected_length_truncated,
     explore_states,
@@ -49,6 +47,7 @@ from lambdalab.terms import (
 from conftest import terms
 from chain_oracle import chain_derivation_lengths
 from dense_solver import solve_rows_dense
+from evolution_oracle import Configuration, evolve
 
 I = mk_I()
 EX1 = mk_example1()
@@ -116,10 +115,14 @@ def test_evolve_trace_matches_iterated_evolve(t):
 REDUCED_BASES = (1, 2, 6, 7, 12, 10**9 + 7)
 
 
+def _powers(d: int, s: int) -> list:
+    return [d**k for k in range(s + 1)]
+
+
 @st.composite
 def _over_power(draw):
-    """(n, d**s, d) with n often a multiple of a power of d, so that the
-    reduction takes several rounds or reaches its cap."""
+    """(n, s, d) with n often a multiple of a power of d, so that the
+    reduction strips several factors of d or runs gcd rounds."""
     d = draw(st.sampled_from(REDUCED_BASES))
     s = draw(st.integers(0, 40))
     den = d**s
@@ -130,19 +133,19 @@ def _over_power(draw):
             st.just(den),
         )
     )
-    return n, den, d
+    return n, s, d
 
 
 @given(_over_power())
-@example((0, 12**5, 12))
-@example((7**9, 7**9, 7))
-@example((5, 1, 6))
-@example((2**9, 2**10, 2))  # nine rounds' worth of factors: reaches the cap
-@example((6**4 * 4, 6**6, 6))
+@example((0, 5, 12))
+@example((7**9, 9, 7))
+@example((5, 0, 6))
+@example((2**9, 10, 2))  # nine whole factors of d to strip
+@example((6**4 * 4, 6, 6))  # four factors of d, then a proper factor of d
 def test_reduced_matches_fraction(case):
-    n, den, d = case
-    got = pars._reduced(n, den, d)
-    want = Fraction(n, den)
+    n, s, d = case
+    got = pars._reduced(n, s, d, _powers(d, s))
+    want = Fraction(n, d**s)
     assert type(got) is Fraction
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert got == want and hash(got) == hash(want)
@@ -159,10 +162,23 @@ def _counting_gcd(monkeypatch) -> list:
     return calls
 
 
-def test_reduced_falls_back_after_its_rounds(monkeypatch):
+@pytest.mark.parametrize("d", [2, 7, 10**9 + 7])
+def test_reduced_on_a_prime_base_takes_only_small_gcds(monkeypatch, d):
     calls = _counting_gcd(monkeypatch)
-    assert pars._reduced(2**9, 2**10, 2) == Fraction(1, 2)
-    assert len(calls) == pars._REDUCE_ROUNDS
+    s = 60
+    powers = _powers(d, s)
+    for n in (1, d - 1, d**5 * (d + 1), d ** (s - 1) * 3 + 1, powers[s] - 1, 5 * d**20):
+        assert pars._reduced(n, s, d, powers) == Fraction(n, powers[s])
+    assert calls and all(abs(x) <= d for args in calls for x in args)
+
+
+def test_reduced_reaches_its_rounds_cap_on_a_composite_base(monkeypatch):
+    # 2**9 over 6**10 shares nine factors 2 with the denominator, one per round
+    calls = _counting_gcd(monkeypatch)
+    got = pars._reduced(2**9, 10, 6, _powers(6, 10))
+    want = Fraction(2**9, 6**10)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert len(calls) == pars._REDUCE_ROUNDS + 1
 
 
 SPLITTING = parse(r"(\x.(\y.y y)(\y.y y)) ((\z.z z)(\z.z z))")
@@ -176,13 +192,38 @@ def test_splitting_term_keeps_mass_one_with_few_gcds(monkeypatch):
     trace = evolve_trace(SPLITTING, Strategy.peps(Fraction(1, 3)), horizon)
     assert trace.masses == (1,) * (horizon + 1)
     assert trace.unreduced[-1] == (3**horizon, horizon)
-    assert len(calls) <= 3 * horizon
+    assert calls == []
 
 
-@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(5, 12)], ids=str)
+@pytest.mark.parametrize("t", [I, EX2], ids=["I", "example2"])
+def test_absorbed_trace_runs_to_the_horizon_in_zeros(t):
+    horizon = 300
+    eps = Fraction(5, 12)
+    trace = evolve_trace(t, Strategy.peps(eps), horizon)
+    assert trace.horizon == horizon
+    absorbed = next(i for i, m in enumerate(trace.masses) if m == 0)
+    assert absorbed <= 5
+    assert trace.masses[absorbed:] == (0,) * (horizon + 1 - absorbed)
+    s = trace.unreduced[absorbed][1]
+    assert trace.unreduced[absorbed:] == ((0, s),) * (horizon + 1 - absorbed)
+    assert expected_length_truncated(trace) == analyze(t, Strategy.peps(eps)).expected_length
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 3), Fraction(2, 7), Fraction(3, 10), Fraction(5, 12)], ids=str
+)
 def test_integer_trace_sums_match_fraction_formulas(eps):
+    # every mass is N_i / d**s_i as Fraction's own gcd reduces it, at a
+    # horizon long enough for d**s to reach hundreds of digits
+    horizon = 300
+    d = eps.denominator
     for entry in anchor_corpus():
-        trace = evolve_trace(entry.term, Strategy.peps(eps), 60)
+        trace = evolve_trace(entry.term, Strategy.peps(eps), horizon)
+        assert len(trace.unreduced) == horizon + 1
+        assert trace.powers == tuple(d**k for k in range(trace.unreduced[-1][1] + 1))
+        for mass, (n, s) in zip(trace.masses, trace.unreduced):
+            want = Fraction(n, d**s)
+            assert (mass.numerator, mass.denominator) == (want.numerator, want.denominator)
         masses = trace.masses
         drops = {i: a - b for i, (a, b) in enumerate(zip(masses, masses[1:])) if a != b}
         assert derivation_length_dist(trace) == drops, entry.term_id
