@@ -26,14 +26,10 @@ from .strategies import (
     InvalidEpsilon,
     StepCount,
     Strategy,
-    anf_successors,
-    beta_successors,
     foster_bound,
     n_steps,
     p_eps,
     parse_probability,
-    step_lo,
-    step_ri,
 )
 from .terms import (
     Abs,
@@ -45,7 +41,6 @@ from .terms import (
     SubCalculus,
     Term,
     Var,
-    alpha_eq,
     canonicalize,
     classify,
     ensure_recursion_headroom,

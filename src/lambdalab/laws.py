@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, sccs
-from .strategies import beta_successors, n_steps, walk
+from .strategies import n_steps, walk
 from .terms import (
     SubCalculus,
     Term,
@@ -37,8 +37,6 @@ from .terms import (
     mk_omega,
     mk_Omega,
     random_term,
-    redexes,
-    reduce_at,
     render,
 )
 
@@ -296,8 +294,9 @@ def law_lo_monotone(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> La
 
     def check(t: Term) -> Optional[str]:
         steps = _n_lo(t)
-        for p in redexes(t):
-            u = reduce_at(t, p)
+        graph = StateGraph()
+        for j in graph.beta(graph.intern(t)):
+            u = graph.rep(j)
             reduct_count = n_steps(u, "lo", DEFAULT_WN_FUEL)
             if not reduct_count.finite or reduct_count.steps > steps:
                 return f"reduct {render(u)} has N_LO {reduct_count} > {steps}"
@@ -339,7 +338,9 @@ def law_subcalculus_stability(corpora: dict[str, list[CorpusTerm]]) -> LawReport
         if not is_lambda_I(t):
             return "corpus term is not lambda-I"
         fv = free_vars(t)
-        for u in beta_successors(t):
+        graph = StateGraph()
+        for j in graph.beta(graph.intern(t)):
+            u = graph.rep(j)
             if not is_lambda_I(u):
                 return f"reduct {render(u)} left lambda-I"
             if free_vars(u) != fv:
@@ -349,10 +350,11 @@ def law_subcalculus_stability(corpora: dict[str, list[CorpusTerm]]) -> LawReport
     def check_lambda_a(t: Term) -> Optional[str]:
         if not is_lambda_A(t):
             return "corpus term is not lambda-A"
-        for u in beta_successors(t):
+        graph = StateGraph()
+        for j in graph.beta(graph.intern(t)):
+            u = graph.rep(j)
             if not is_lambda_A(u):
                 return f"reduct {render(u)} left lambda-A"
-        graph = StateGraph()
         if not _acyclic(_closure(graph, t, graph.beta), graph.beta):
             return "reduction graph has a cycle (not SN)"
         return None

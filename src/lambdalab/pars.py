@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .strategies import Strategy, anf_successors, beta_successors
+from .strategies import Strategy
 from .terms import (
     CanonicalTerm,
     Term,
@@ -47,6 +47,7 @@ from .terms import (
     is_normal_canonical,
     is_normal_form,
     reduce_at,
+    reducts_canonical,
     render,
 )
 
@@ -90,7 +91,8 @@ class StateGraph:
     successors(i, eps) lists the ids the eps-mixture can step to, which is
     all a closure or a sampler needs; chain_rows weighs them.
     All-beta and argument-normal successor ids, which the laws need, are
-    computed on demand too.
+    found on demand the same way, by reducts_canonical on the canonical
+    form, and a class they discover is named by its parent and path too.
     """
 
     def __init__(self) -> None:
@@ -178,16 +180,28 @@ class StateGraph:
             rows[i] = ((targets[0], _ONE),) if len(targets) == 1 else tuple(zip(targets, weights))
         return rows
 
+    def _found(self, i: int, c: CanonicalTerm, path) -> int:
+        """Id of c, a reduct of class i at path; a new class records
+        (i, path) for rep to name it by."""
+        j = self.ids.get(c)
+        if j is None:
+            j = self._add(c, None, (i, path), is_normal_canonical(c))
+        return j
+
     def beta(self, i: int) -> tuple:
-        """Ids of all one-step reducts of class i, in redex order."""
+        """Ids of all one-step reducts of class i, in redex order, each
+        once."""
         if i not in self._beta:
-            self._beta[i] = tuple(map(self.intern, beta_successors(self.rep(i))))
+            found = (self._found(i, c, p) for c, p in reducts_canonical(self.forms[i]))
+            self._beta[i] = tuple(dict.fromkeys(found))
         return self._beta[i]
 
     def anf(self, i: int) -> tuple:
-        """Ids of the reducts of class i through argument-normal redexes."""
+        """Ids of the reducts of class i through argument-normal redexes,
+        in redex order, each once."""
         if i not in self._anf:
-            self._anf[i] = tuple(map(self.intern, anf_successors(self.rep(i))))
+            found = (self._found(i, c, p) for c, p in reducts_canonical(self.forms[i], True))
+            self._anf[i] = tuple(dict.fromkeys(found))
         return self._anf[i]
 
     def closure(

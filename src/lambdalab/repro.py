@@ -28,7 +28,7 @@ from .terms import (
     App,
     SubCalculus,
     Term,
-    alpha_eq,
+    canonicalize,
     ensure_recursion_headroom,
     mk_example1,
     mk_example2,
@@ -77,7 +77,7 @@ def _follow(t: Term, strategy: str, expected: list[Term]) -> tuple[bool, list[st
     for want, (_, path) in zip(expected, steps):
         current = reduce_at(current, path)
         seen.append(render(current))
-        if not alpha_eq(current, want):
+        if canonicalize(current) != canonicalize(want):
             return False, seen
     return len(seen) == len(expected) + 1 and next(steps, None) is None, seen
 

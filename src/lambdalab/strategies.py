@@ -1,6 +1,7 @@
-"""Reduction strategies: deterministic LO/RI, argument-normal steps, and
-the randomized mixture that picks the LO-redex with probability eps and
-the RI-redex with probability 1 - eps.
+"""Reduction strategies: the randomized mixture that picks the LO-redex
+with probability eps and the RI-redex with probability 1 - eps, with
+deterministic LO and RI as its endpoints, and derivation-length counters
+on canonical forms.
 
 All probabilities are exact rationals end to end; no floating point enters
 strategy or solver code.  A strategy's output distribution always has total
@@ -21,10 +22,9 @@ from .terms import (
     Term,
     canonicalize,
     contract_canonical,
-    is_normal_form,
+    is_normal_form,  # unused here: perfbench's tracer hooks strategies.is_normal_form
     redexes,
     reduce_at,
-    subterm_at,
 )
 
 
@@ -115,51 +115,6 @@ class Distribution:
 
         inner = ", ".join(f"{render(self.reps[c])}: {p}" for c, p in self.masses.items())
         return f"Distribution({{{inner}}})"
-
-
-# ---------------------------------------------------------------------------
-# deterministic strategies
-
-
-def step_lo(t: Term) -> Optional[Term]:
-    """One leftmost-outermost step, at the pre-order-first redex; None iff
-    t is in normal form."""
-    paths = redexes(t)
-    return reduce_at(t, paths[0]) if paths else None
-
-
-def step_ri(t: Term) -> Optional[Term]:
-    """One rightmost-innermost step; None iff t is in normal form.
-
-    The contracted redex is the pre-order-last one, so its argument can
-    contain no redex: every RI step is an argument-normal step.
-    """
-    paths = redexes(t)
-    return reduce_at(t, paths[-1]) if paths else None
-
-
-def _alpha_distinct(reducts) -> list[Term]:
-    """The first term of each alpha-class, in order."""
-    seen: set[CanonicalTerm] = set()
-    out: list[Term] = []
-    for u in reducts:
-        c = canonicalize(u)
-        if c not in seen:
-            seen.add(c)
-            out.append(u)
-    return out
-
-
-def beta_successors(t: Term) -> list[Term]:
-    """All one-step beta-reducts, deduplicated up to alpha, redex order."""
-    return _alpha_distinct(reduce_at(t, p) for p in redexes(t))
-
-
-def anf_successors(t: Term) -> list[Term]:
-    """One-step reducts through redexes whose argument is in normal form."""
-    return _alpha_distinct(
-        reduce_at(t, p) for p in redexes(t) if is_normal_form(subterm_at(t, p).arg)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ instead, so is_normal_canonical() reads the root's tag and a contraction
 walks down redex-tagged sub-tuples only; the tag is set wherever a node is
 built.  A canonical form can be reduced as it stands, so a reduct never has
 to be named and canonicalised again.  contract_canonical() is the one place
-that picks the LO- or RI-redex: it also returns the redex's path, and
-reduce_at() replays that path on a named term of the class wherever a
-named reduct is wanted.
+that picks the LO- or RI-redex, and reducts_canonical() lists the step at
+every redex; both return the redex's path, and reduce_at() replays that
+path on a named term of the class wherever a named reduct is wanted.
 
 Concrete syntax (UTF-8):
 
@@ -277,7 +277,7 @@ def term_size(t: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# variables, alpha-equivalence, canonical forms
+# variables and canonical forms
 
 
 def free_vars(t: Term) -> set[str]:
@@ -295,30 +295,6 @@ def _all_names(t: Term) -> set[str]:
     if isinstance(t, Abs):
         return {t.binder} | _all_names(t.body)
     return _all_names(t.fn) | _all_names(t.arg)
-
-
-def alpha_eq(t: Term, u: Term) -> bool:
-    """True iff t and u differ only in the names of bound variables."""
-
-    def go(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            da, db = env_a.get(a.name), env_b.get(b.name)
-            if da is None and db is None:
-                return a.name == b.name
-            return da == db
-        if isinstance(a, Abs) and isinstance(b, Abs):
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[a.binder] = depth
-            eb[b.binder] = depth
-            return go(a.body, b.body, ea, eb, depth + 1)
-        if isinstance(a, App) and isinstance(b, App):
-            return go(a.fn, b.fn, env_a, env_b, depth) and go(
-                a.arg, b.arg, env_a, env_b, depth
-            )
-        return False
-
-    return go(t, u, {}, {}, 0)
 
 
 def _abs_c(body: CanonicalTerm) -> CanonicalTerm:
@@ -446,10 +422,6 @@ def _descend(t: Term, path: RedexPath) -> list[Term]:
     return nodes
 
 
-def subterm_at(t: Term, path: RedexPath) -> Term:
-    return _descend(t, path)[-1]
-
-
 def reduce_at(t: Term, path: RedexPath) -> Term:
     """Contract the redex addressed by path; everything else is untouched.
 
@@ -568,6 +540,35 @@ def contract_canonical(
         return _app_c(fn, go(arg))
 
     return (go(c), tuple(path)) if c[0] in "AL" else None
+
+
+def reducts_canonical(
+    c: CanonicalTerm, argument_normal: bool = False
+) -> list[tuple[CanonicalTerm, RedexPath]]:
+    """Every one-step reduct of a canonical form with the path to its
+    redex, in pre-order of the redexes; with argument_normal, only through
+    redexes whose argument is normal.
+
+    For every t with canonicalize(t) == c the paths are redexes(t), or
+    those whose argument is_normal_form, and each reduct is
+    canonicalize(reduce_at(t, path)).  contract_canonical takes the first
+    or last of these steps without listing the others.
+    """
+
+    def go(node: CanonicalTerm) -> list:  # node holds a redex
+        if node[0] == "L":
+            return [(_abs_c(r), (INTO_BODY,) + p) for r, p in go(node[1])]
+        fn, arg = node[1], node[2]
+        out = []
+        if fn[0] in "lL" and not (argument_normal and arg[0] in "AL"):
+            out.append((_beta_canonical(fn[1], arg), ()))
+        if fn[0] in "AL":
+            out += [(_app_c(r, arg), (INTO_FN,) + p) for r, p in go(fn)]
+        if arg[0] in "AL":
+            out += [(_app_c(fn, r), (INTO_ARG,) + p) for r, p in go(arg)]
+        return out
+
+    return go(c) if c[0] in "AL" else []
 
 
 def is_normal_canonical(c: CanonicalTerm) -> bool:

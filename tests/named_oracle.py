@@ -1,0 +1,108 @@
+"""Reduction on named terms, kept as a test oracle for the canonical steps.
+
+Every step here lists the redexes of a named term with terms.redexes and
+contracts one with reduce_at, by capture-avoiding substitution.  No step
+reads a canonical form's tags or de Bruijn indices, so the steps check
+contract_canonical, reducts_canonical and StateGraph.beta/anf from
+outside.  alpha_eq decides alpha-equivalence by pairing binders, without
+canonical forms, and so checks canonicalize.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from lambdalab.terms import (
+    INTO_ARG,
+    INTO_BODY,
+    INTO_FN,
+    Abs,
+    App,
+    InvalidPath,
+    RedexPath,
+    Term,
+    Var,
+    canonicalize,
+    is_normal_form,
+    redexes,
+    reduce_at,
+)
+
+
+def alpha_eq(t: Term, u: Term) -> bool:
+    """True iff t and u differ only in the names of bound variables."""
+
+    def go(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
+        if isinstance(a, Var) and isinstance(b, Var):
+            da, db = env_a.get(a.name), env_b.get(b.name)
+            if da is None and db is None:
+                return a.name == b.name
+            return da == db
+        if isinstance(a, Abs) and isinstance(b, Abs):
+            ea = dict(env_a)
+            eb = dict(env_b)
+            ea[a.binder] = depth
+            eb[b.binder] = depth
+            return go(a.body, b.body, ea, eb, depth + 1)
+        if isinstance(a, App) and isinstance(b, App):
+            return go(a.fn, b.fn, env_a, env_b, depth) and go(
+                a.arg, b.arg, env_a, env_b, depth
+            )
+        return False
+
+    return go(t, u, {}, {}, 0)
+
+
+def subterm_at(t: Term, path: RedexPath) -> Term:
+    """The node of t that path addresses."""
+    for step in path:
+        if step == INTO_FN and isinstance(t, App):
+            t = t.fn
+        elif step == INTO_ARG and isinstance(t, App):
+            t = t.arg
+        elif step == INTO_BODY and isinstance(t, Abs):
+            t = t.body
+        else:
+            raise InvalidPath(f"path step {step!r} does not match term shape")
+    return t
+
+
+def step_lo(t: Term) -> Optional[Term]:
+    """One leftmost-outermost step, at the pre-order-first redex; None iff
+    t is in normal form."""
+    paths = redexes(t)
+    return reduce_at(t, paths[0]) if paths else None
+
+
+def step_ri(t: Term) -> Optional[Term]:
+    """One rightmost-innermost step; None iff t is in normal form.
+
+    The contracted redex is the pre-order-last one, so its argument can
+    contain no redex: every RI step is an argument-normal step.
+    """
+    paths = redexes(t)
+    return reduce_at(t, paths[-1]) if paths else None
+
+
+def _alpha_distinct(reducts) -> list[Term]:
+    """The first term of each alpha-class, in order."""
+    seen: set = set()
+    out: list[Term] = []
+    for u in reducts:
+        c = canonicalize(u)
+        if c not in seen:
+            seen.add(c)
+            out.append(u)
+    return out
+
+
+def beta_successors(t: Term) -> list[Term]:
+    """All one-step beta-reducts, deduplicated up to alpha, redex order."""
+    return _alpha_distinct(reduce_at(t, p) for p in redexes(t))
+
+
+def anf_successors(t: Term) -> list[Term]:
+    """One-step reducts through redexes whose argument is in normal form."""
+    return _alpha_distinct(
+        reduce_at(t, p) for p in redexes(t) if is_normal_form(subterm_at(t, p).arg)
+    )

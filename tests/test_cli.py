@@ -16,6 +16,7 @@ from lambdalab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     _json,
     fraction_to_decimal,
     main,
@@ -564,3 +565,24 @@ def test_more_analyze_matches_golden_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MORE_ANALYZE_GOLDEN_DIGESTS[argv]
+
+
+LAWS_GOLDEN_DIGESTS = {  # exit code and SHA-256 of stdout: laws runs that do not all pass
+    # one counterexample (anf_equal_length) and two inconclusive cases
+    ("laws", "--suite", "all", "--size-cap", "20", "--format", "json"): (
+        EXIT_VIOLATION,
+        "40cc4d81e278bad33da64e3ebc86664b241429fe4c6ae3a358cef50bfcc3f559",
+    ),
+    # one inconclusive case, at a size cap where graphs get large
+    ("laws", "--suite", "core", "--size-cap", "30", "--count", "300", "--seed", "7",
+     "--format", "json"): (
+        EXIT_OK,
+        "29b7851ca7d7e565c3397c2f09d06a7a34cbc9c7796cca3a172e82f0340002bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", LAWS_GOLDEN_DIGESTS, ids=["counterexample", "inconclusive"])
+def test_laws_matches_golden_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == LAWS_GOLDEN_DIGESTS[argv]

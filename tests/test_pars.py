@@ -48,6 +48,7 @@ from conftest import terms
 from chain_oracle import chain_derivation_lengths
 from dense_solver import solve_rows_dense
 from evolution_oracle import Configuration, evolve
+from named_oracle import anf_successors, beta_successors
 
 I = mk_I()
 EX1 = mk_example1()
@@ -431,6 +432,60 @@ def test_rep_does_not_recurse_on_discovery_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert i == n and canonicalize(last) == graph.forms[i]
+
+
+def _assert_law_edges_match_named_oracle(t):
+    """StateGraph.beta and anf list the classes of the oracle's named
+    reducts in its order, from t and from each class they find; a class
+    found from t is named as the oracle names it."""
+    for edges_of, oracle in ((StateGraph.beta, beta_successors), (StateGraph.anf, anf_successors)):
+        graph = StateGraph()
+        root = graph.intern(t)
+        ids = edges_of(graph, root)
+        named = oracle(t)
+        assert [graph.forms[j] for j in ids] == [canonicalize(u) for u in named]
+        assert [graph.rep(j) for j in ids] == [t if j == root else u for j, u in zip(ids, named)]
+        for j in ids:
+            reducts = [canonicalize(u) for u in oracle(graph.rep(j))]
+            assert [graph.forms[k] for k in edges_of(graph, j)] == reducts
+
+
+@pytest.mark.parametrize("entry", anchor_corpus(), ids=lambda entry: entry.term_id)
+def test_law_edges_match_named_oracle_on_anchor_terms(entry):
+    _assert_law_edges_match_named_oracle(entry.term)
+
+
+@given(terms)
+def test_law_edges_match_named_oracle_on_generated_terms(t):
+    _assert_law_edges_match_named_oracle(t)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(list(SubCalculus)))
+@settings(max_examples=100, deadline=None)
+def test_law_edges_match_named_oracle_on_random_terms(seed, tag):
+    _assert_law_edges_match_named_oracle(random_term(seed, 40, tag))
+
+
+@pytest.mark.parametrize("edges", ["beta", "anf"])
+@pytest.mark.parametrize(
+    "t",
+    [mk_Mn(4), parse("(\\x.x x x) ((\\z.z) ((\\z.z) y))")],
+    ids=["Mn:4", "dup"],
+)
+def test_law_closure_builds_no_representative(monkeypatch, edges, t):
+    reduce_at = pars.reduce_at
+    calls = []
+
+    def counting(t, path):
+        calls.append(path)
+        return reduce_at(t, path)
+
+    monkeypatch.setattr(pars, "reduce_at", counting)
+    graph = StateGraph()
+    order = graph.closure(graph.intern(t), getattr(graph, edges), 600)
+    assert calls == [] and len(order) > 2
+    last = graph.rep(order[-1])  # naming a class replays the steps that found it
+    assert calls and canonicalize(last) == graph.forms[order[-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,16 @@ from lambdalab.strategies import (
     InvalidEpsilon,
     StepCount,
     Strategy,
-    anf_successors,
-    beta_successors,
     foster_bound,
     n_steps,
     p_eps,
     parse_probability,
-    step_lo,
-    step_ri,
     walk,
 )
 from lambdalab.terms import (
     App,
     SubCalculus,
     Var,
-    alpha_eq,
     canonicalize,
     is_normal_canonical,
     is_normal_form,
@@ -34,10 +29,17 @@ from lambdalab.terms import (
     random_term,
     redexes,
     reduce_at,
-    subterm_at,
 )
 
 from conftest import reducible_terms, terms
+from named_oracle import (
+    alpha_eq,
+    anf_successors,
+    beta_successors,
+    step_lo,
+    step_ri,
+    subterm_at,
+)
 
 I = mk_I()
 II = App(I, I)

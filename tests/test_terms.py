@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from lambdalab.laws import anchor_corpus
 from lambdalab.terms import (
     Abs,
     App,
@@ -14,7 +15,6 @@ from lambdalab.terms import (
     ParseError,
     SubCalculus,
     Var,
-    alpha_eq,
     canonical_size,
     canonicalize,
     classify,
@@ -35,13 +35,14 @@ from lambdalab.terms import (
     random_term,
     redexes,
     reduce_at,
+    reducts_canonical,
     render,
     substitute,
-    subterm_at,
     term_size,
 )
 
-from conftest import terms
+from conftest import reducible_terms, terms
+from named_oracle import alpha_eq, subterm_at
 
 
 I = mk_I()
@@ -343,6 +344,44 @@ def test_contractions_agree_on_generated_terms(t):
 @settings(max_examples=200, deadline=None)
 def test_contractions_agree_on_random_terms(seed, tag):
     _assert_contractions_agree(random_term(seed, 40, tag))
+
+
+def _assert_reducts_agree(t):
+    """reducts_canonical lists the redexes of t in pre-order, or with
+    argument_normal those whose argument is normal, each with the canonical
+    form of t contracted there, and its ends are the LO and RI steps."""
+    c = canonicalize(t)
+    paths = redexes(t)
+    normal_arg = [p for p in paths if is_normal_form(subterm_at(t, p).arg)]
+    for argument_normal, want in ((False, paths), (True, normal_arg)):
+        steps = reducts_canonical(c, argument_normal)
+        assert [path for _, path in steps] == want
+        assert [reduct for reduct, _ in steps] == [canonicalize(reduce_at(t, p)) for p in want]
+        if steps:  # the RI-redex's argument is normal, so it ends both lists
+            assert steps[-1] == contract_canonical(c, True)
+    steps = reducts_canonical(c)
+    assert (steps[0] if steps else None) == contract_canonical(c, False)
+
+
+REDUCT_ANCHORS = CONTRACTION_ANCHORS + [
+    entry.term for entry in anchor_corpus() if entry.term not in CONTRACTION_ANCHORS
+]
+
+
+@pytest.mark.parametrize("t", REDUCT_ANCHORS, ids=render)
+def test_reducts_agree_on_anchor_terms(t):
+    _assert_reducts_agree(t)
+
+
+@given(st.one_of(terms, reducible_terms))
+def test_reducts_agree_on_generated_terms(t):
+    _assert_reducts_agree(t)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(list(SubCalculus)))
+@settings(max_examples=200, deadline=None)
+def test_reducts_agree_on_random_terms(seed, tag):
+    _assert_reducts_agree(random_term(seed, 40, tag))
 
 
 def test_contract_canonical_shares_untouched_subterms():
