@@ -18,6 +18,10 @@ that picks the LO- or RI-redex, and reducts_canonical() lists the step at
 every redex; both return the redex's path, and reduce_at() replays that
 path on a named term of the class wherever a named reduct is wanted.
 
+A recursive traversal is a module-level function that takes its state as
+arguments, never a nested one: a nested function that calls itself is a
+reference cycle through its closure cell, left for the cyclic collector.
+
 Concrete syntax (UTF-8):
 
     term   ::= lambda | app
@@ -179,66 +183,76 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+class _Cursor:
+    """The parser's place in the token list, and the input's length for
+    errors at its end."""
+
+    __slots__ = ("tokens", "pos", "end")
+
+    def __init__(self, tokens: list[tuple[str, str, int]], end: int):
+        self.tokens, self.pos, self.end = tokens, 0, end
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"expected {kind}, found end of input", self.end)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+
 def parse(text: str) -> Term:
     """Parse the concrete syntax into a Term.
 
     Application is left-associative and an abstraction body extends as far
     right as possible.  Raises ParseError with a position on bad input.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> Optional[tuple[str, str, int]]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def expect(kind: str) -> tuple[str, str, int]:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError(f"expected {kind}, found end of input", len(text))
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        pos += 1
-        return tok
-
-    def parse_term() -> Term:
-        tok = peek()
-        if tok is None:
-            raise ParseError("expected a term, found end of input", len(text))
-        if tok[0] == "lambda":
-            expect("lambda")
-            _, name, _ = expect("ident")
-            expect("dot")
-            return Abs(name, parse_term())
-        return parse_app()
-
-    def parse_app() -> Term:
-        t = parse_atom()
-        while True:
-            tok = peek()
-            if tok is None or tok[0] not in ("ident", "lparen"):
-                return t
-            t = App(t, parse_atom())
-
-    def parse_atom() -> Term:
-        tok = peek()
-        if tok is None:
-            raise ParseError("expected a term, found end of input", len(text))
-        if tok[0] == "ident":
-            expect("ident")
-            return Var(tok[1])
-        if tok[0] == "lparen":
-            expect("lparen")
-            t = parse_term()
-            expect("rparen")
-            return t
-        raise ParseError(f"expected a variable or '(', found {tok[1]!r}", tok[2])
-
-    t = parse_term()
-    tok = peek()
+    cur = _Cursor(_tokenize(text), len(text))
+    t = _parse_term(cur)
+    tok = cur.peek()
     if tok is not None:
         raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
     return t
+
+
+def _parse_term(cur: _Cursor) -> Term:
+    tok = cur.peek()
+    if tok is None:
+        raise ParseError("expected a term, found end of input", cur.end)
+    if tok[0] == "lambda":
+        cur.expect("lambda")
+        _, name, _ = cur.expect("ident")
+        cur.expect("dot")
+        return Abs(name, _parse_term(cur))
+    return _parse_app(cur)
+
+
+def _parse_app(cur: _Cursor) -> Term:
+    t = _parse_atom(cur)
+    while True:
+        tok = cur.peek()
+        if tok is None or tok[0] not in ("ident", "lparen"):
+            return t
+        t = App(t, _parse_atom(cur))
+
+
+def _parse_atom(cur: _Cursor) -> Term:
+    tok = cur.peek()
+    if tok is None:
+        raise ParseError("expected a term, found end of input", cur.end)
+    if tok[0] == "ident":
+        cur.expect("ident")
+        return Var(tok[1])
+    if tok[0] == "lparen":
+        cur.expect("lparen")
+        t = _parse_term(cur)
+        cur.expect("rparen")
+        return t
+    raise ParseError(f"expected a variable or '(', found {tok[1]!r}", tok[2])
 
 
 def render(t: Term, memo: Optional[dict] = None) -> str:
@@ -309,18 +323,20 @@ def _app_c(fn: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
 
 def canonicalize(t: Term) -> CanonicalTerm:
     """Binder-name-independent encoding; equal exactly on alpha-classes."""
+    return _canonical(t, ())
 
-    def go(node: Term, binders: tuple) -> CanonicalTerm:
-        if isinstance(node, Var):
-            try:
-                return ("b", binders.index(node.name))
-            except ValueError:
-                return ("f", node.name)
-        if isinstance(node, Abs):
-            return _abs_c(go(node.body, (node.binder,) + binders))
-        return _app_c(go(node.fn, binders), go(node.arg, binders))
 
-    return go(t, ())
+def _canonical(node: Term, binders: tuple) -> CanonicalTerm:
+    """canonicalize under binders, the names bound above node, innermost
+    first."""
+    if isinstance(node, Var):
+        try:
+            return ("b", binders.index(node.name))
+        except ValueError:
+            return ("f", node.name)
+    if isinstance(node, Abs):
+        return _abs_c(_canonical(node.body, (node.binder,) + binders))
+    return _app_c(_canonical(node.fn, binders), _canonical(node.arg, binders))
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +370,29 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
     """
     fv_rep = free_vars(replacement)
     taken = _all_names(body) | fv_rep | {var}
+    return _substitute(body, var, replacement, fv_rep, taken)
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return replacement if t.name == var else t
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if t.binder == var:
-            return t
-        if var not in free_vars(t.body):
-            return t
-        if t.binder in fv_rep:
-            fresh = _fresh_name(t.binder, taken)
-            taken.add(fresh)
-            return Abs(fresh, go(_rename_free(t.body, t.binder, fresh)))
-        return Abs(t.binder, go(t.body))
 
-    return go(body)
+def _substitute(t: Term, var: str, replacement: Term, fv_rep: set, taken: set) -> Term:
+    """t{replacement/var}, where fv_rep holds replacement's free variables
+    and taken every name in use, which grows by each fresh binder made."""
+    if isinstance(t, Var):
+        return replacement if t.name == var else t
+    if isinstance(t, App):
+        return App(
+            _substitute(t.fn, var, replacement, fv_rep, taken),
+            _substitute(t.arg, var, replacement, fv_rep, taken),
+        )
+    if t.binder == var:
+        return t
+    if var not in free_vars(t.body):
+        return t
+    if t.binder in fv_rep:
+        fresh = _fresh_name(t.binder, taken)
+        taken.add(fresh)
+        renamed = _rename_free(t.body, t.binder, fresh)
+        return Abs(fresh, _substitute(renamed, var, replacement, fv_rep, taken))
+    return Abs(t.binder, _substitute(t.body, var, replacement, fv_rep, taken))
 
 
 # ---------------------------------------------------------------------------
@@ -464,39 +486,43 @@ def _beta_canonical(body: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
     replaced by arg, indices above it drop by one, and arg's outer indices
     are shifted by the number of binders it lands under.  A shift keeps
     tags; a rebuilt node's tag is set anew, as beta can create a redex."""
-    shifted = {0: arg}  # arg as it reads under this many extra binders
+    return _beta(body, 0, {0: arg})
 
-    def shift(node: CanonicalTerm, by: int, depth: int) -> CanonicalTerm:
-        tag = node[0]
-        if tag == "b":
-            return ("b", node[1] + by) if node[1] >= depth else node
-        if tag in "lL":
-            inner = shift(node[1], by, depth + 1)
-            return node if inner is node[1] else (tag, inner)
-        if tag in "aA":
-            fn, a = shift(node[1], by, depth), shift(node[2], by, depth)
-            return node if fn is node[1] and a is node[2] else (tag, fn, a)
-        return node
 
-    def go(node: CanonicalTerm, depth: int) -> CanonicalTerm:
-        tag = node[0]
-        if tag == "b":
-            k = node[1]
-            if k == depth:
-                out = shifted.get(depth)
-                if out is None:
-                    out = shifted[depth] = shift(arg, depth, 0)
-                return out
-            return ("b", k - 1) if k > depth else node
-        if tag in "lL":
-            inner = go(node[1], depth + 1)
-            return node if inner is node[1] else _abs_c(inner)
-        if tag in "aA":
-            fn, a = go(node[1], depth), go(node[2], depth)
-            return node if fn is node[1] and a is node[2] else _app_c(fn, a)
-        return node
+def _shift(node: CanonicalTerm, by: int, depth: int) -> CanonicalTerm:
+    """node with its indices of depth or more raised by by."""
+    tag = node[0]
+    if tag == "b":
+        return ("b", node[1] + by) if node[1] >= depth else node
+    if tag in "lL":
+        inner = _shift(node[1], by, depth + 1)
+        return node if inner is node[1] else (tag, inner)
+    if tag in "aA":
+        fn, a = _shift(node[1], by, depth), _shift(node[2], by, depth)
+        return node if fn is node[1] and a is node[2] else (tag, fn, a)
+    return node
 
-    return go(body, 0)
+
+def _beta(node: CanonicalTerm, depth: int, shifted: dict) -> CanonicalTerm:
+    """The beta of _beta_canonical on node, depth binders below the body's
+    root.  shifted maps a depth to arg as it reads under that many extra
+    binders, and holds arg itself at 0."""
+    tag = node[0]
+    if tag == "b":
+        k = node[1]
+        if k == depth:
+            out = shifted.get(depth)
+            if out is None:
+                out = shifted[depth] = _shift(shifted[0], depth, 0)
+            return out
+        return ("b", k - 1) if k > depth else node
+    if tag in "lL":
+        inner = _beta(node[1], depth + 1, shifted)
+        return node if inner is node[1] else _abs_c(inner)
+    if tag in "aA":
+        fn, a = _beta(node[1], depth, shifted), _beta(node[2], depth, shifted)
+        return node if fn is node[1] and a is node[2] else _app_c(fn, a)
+    return node
 
 
 def contract_canonical(
@@ -516,30 +542,34 @@ def contract_canonical(
     enters a normal sub-tuple, and sub-tuples the step does not touch are
     returned as they are.
     """
+    if c[0] not in "AL":
+        return None
     path: list = []  # the steps down to the redex, appended on the way
+    return _contract(c, rightmost, path), tuple(path)
 
-    def go(node: CanonicalTerm) -> CanonicalTerm:  # node holds a redex
-        if node[0] == "L":
-            path.append(INTO_BODY)
-            return _abs_c(go(node[1]))
-        fn, arg = node[1], node[2]
-        if rightmost:
-            if arg[0] in "AL":
-                path.append(INTO_ARG)
-                return _app_c(fn, go(arg))
-            if fn[0] in "AL":
-                path.append(INTO_FN)
-                return _app_c(go(fn), arg)
-            return _beta_canonical(fn[1], arg)
-        if fn[0] in "lL":
-            return _beta_canonical(fn[1], arg)
-        if fn[0] == "A":
+
+def _contract(node: CanonicalTerm, rightmost: bool, path: list) -> CanonicalTerm:
+    """contract_canonical on node, which holds a redex, appending the steps
+    to the redex to path."""
+    if node[0] == "L":
+        path.append(INTO_BODY)
+        return _abs_c(_contract(node[1], rightmost, path))
+    fn, arg = node[1], node[2]
+    if rightmost:
+        if arg[0] in "AL":
+            path.append(INTO_ARG)
+            return _app_c(fn, _contract(arg, rightmost, path))
+        if fn[0] in "AL":
             path.append(INTO_FN)
-            return _app_c(go(fn), arg)
-        path.append(INTO_ARG)
-        return _app_c(fn, go(arg))
-
-    return (go(c), tuple(path)) if c[0] in "AL" else None
+            return _app_c(_contract(fn, rightmost, path), arg)
+        return _beta_canonical(fn[1], arg)
+    if fn[0] in "lL":
+        return _beta_canonical(fn[1], arg)
+    if fn[0] == "A":
+        path.append(INTO_FN)
+        return _app_c(_contract(fn, rightmost, path), arg)
+    path.append(INTO_ARG)
+    return _app_c(fn, _contract(arg, rightmost, path))
 
 
 def reducts_canonical(
@@ -554,21 +584,22 @@ def reducts_canonical(
     canonicalize(reduce_at(t, path)).  contract_canonical takes the first
     or last of these steps without listing the others.
     """
+    return _reducts(c, argument_normal) if c[0] in "AL" else []
 
-    def go(node: CanonicalTerm) -> list:  # node holds a redex
-        if node[0] == "L":
-            return [(_abs_c(r), (INTO_BODY,) + p) for r, p in go(node[1])]
-        fn, arg = node[1], node[2]
-        out = []
-        if fn[0] in "lL" and not (argument_normal and arg[0] in "AL"):
-            out.append((_beta_canonical(fn[1], arg), ()))
-        if fn[0] in "AL":
-            out += [(_app_c(r, arg), (INTO_FN,) + p) for r, p in go(fn)]
-        if arg[0] in "AL":
-            out += [(_app_c(fn, r), (INTO_ARG,) + p) for r, p in go(arg)]
-        return out
 
-    return go(c) if c[0] in "AL" else []
+def _reducts(node: CanonicalTerm, argument_normal: bool) -> list:
+    """reducts_canonical on node, which holds a redex."""
+    if node[0] == "L":
+        return [(_abs_c(r), (INTO_BODY,) + p) for r, p in _reducts(node[1], argument_normal)]
+    fn, arg = node[1], node[2]
+    out = []
+    if fn[0] in "lL" and not (argument_normal and arg[0] in "AL"):
+        out.append((_beta_canonical(fn[1], arg), ()))
+    if fn[0] in "AL":
+        out += [(_app_c(r, arg), (INTO_FN,) + p) for r, p in _reducts(fn, argument_normal)]
+    if arg[0] in "AL":
+        out += [(_app_c(fn, r), (INTO_ARG,) + p) for r, p in _reducts(arg, argument_normal)]
+    return out
 
 
 def is_normal_canonical(c: CanonicalTerm) -> bool:
