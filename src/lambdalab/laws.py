@@ -19,7 +19,7 @@ from functools import cache, partial
 from itertools import islice
 from typing import Callable, Optional
 
-from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, sccs
+from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, iter_sccs
 from .strategies import n_steps, walk
 from .terms import (
     SubCalculus,
@@ -229,7 +229,7 @@ def _acyclic(order: list, edges: Edges) -> bool:
     successors = _adjacency(order, edges)
     return all(
         len(component) == 1 and component[0] not in successors[component[0]]
-        for component in sccs(successors)
+        for component in iter_sccs(successors)
     )
 
 
@@ -245,7 +245,7 @@ def _unique_length_to_nf(order: list, edges: Edges) -> tuple[str, Optional[int],
     successors = _adjacency(order, edges)
     lengths: dict[int, int] = {}  # states that reach a normal form
     mismatch = None
-    for component in sccs(successors):  # successors first
+    for component in iter_sccs(successors):  # successors first
         v = component[0]
         reach = {1 + lengths[u] for w in component for u in successors[w] if u in lengths}
         if successors[v] and not reach:

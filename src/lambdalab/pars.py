@@ -24,10 +24,11 @@ Each call below builds one graph and runs every eps it needs over it:
   under all one-step reducts or all argument-normal reducts.
 
 Everything is computed in exact rational arithmetic.  The chain is solved
-component by component: its strongly connected components are taken sinks
-first, a one-state component by one integer division reduced by one gcd,
-and any larger one as a small linear system eliminated over Fractions, so
-results are compared with closed formulas for equality, not tolerance.
+component by component: each strongly connected component is solved as
+Tarjan's algorithm closes it, sinks first, a one-state component by one
+integer division reduced by one gcd, and any larger one as a small linear
+system eliminated over Fractions, so results are compared with closed
+formulas for equality, not tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .strategies import Strategy
 from .terms import (
@@ -45,7 +46,7 @@ from .terms import (
     canonicalize,
     contract_canonical,
     is_normal_canonical,
-    is_normal_form,
+    is_normal_form,  # unused here: perfbench's tracer hooks pars.is_normal_form
     reduce_at,
     reducts_canonical,
     render,
@@ -78,6 +79,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _sides(eps: Fraction) -> tuple:
+    """The sides the eps-mixture contracts, LO (0) before RI (1): RI alone
+    at eps 0, LO alone at eps 1, both otherwise."""
+    return (1,) if eps == 0 else (0,) if eps == 1 else (0, 1)
+
+
 class StateGraph:
     """Alpha-classes interned to int ids in discovery order.
 
@@ -89,7 +96,8 @@ class StateGraph:
     eps = 0 or 1 discovers only the classes it reaches and no reduct is
     canonicalised; representatives are built only when asked for.
     successors(i, eps) lists the ids the eps-mixture can step to, which is
-    all a closure or a sampler needs; chain_rows weighs them.
+    all a closure or a sampler needs; eps_row weighs them into rows, for
+    the breadth-first search of explore_states and for chain_rows.
     All-beta and argument-normal successor ids, which the laws need, are
     found on demand the same way, by reducts_canonical on the canonical
     form, and a class they discover is named by its parent and path too.
@@ -104,22 +112,22 @@ class StateGraph:
         self._beta: dict[int, tuple] = {}
         self._anf: dict[int, tuple] = {}
 
-    def _add(self, c: CanonicalTerm, rep: Optional[Term], parent, normal: bool) -> int:
-        i = self.ids[c] = len(self.forms)
-        self.forms.append(c)
-        self._reps.append(rep)
-        self._parents.append(parent)
-        self._successors.append(None if normal else [None, None])
+    def _id(self, c: CanonicalTerm, rep: Optional[Term], parent) -> int:
+        """The id of class c, hashing c once: a new class gets the next id,
+        rep as its representative (None until rep() builds it) and parent,
+        its (parent id, redex path) when a step found it."""
+        i = self.ids.setdefault(c, len(self.forms))
+        if i == len(self.forms):
+            self.forms.append(c)
+            self._reps.append(rep)
+            self._parents.append(parent)
+            self._successors.append(None if is_normal_canonical(c) else [None, None])
         return i
 
     def intern(self, t: Term) -> int:
         """The id of t's class; a new class gets the next id and t as its
         representative."""
-        c = canonicalize(t)
-        i = self.ids.get(c)
-        if i is None:
-            i = self._add(c, t, None, is_normal_form(t))
-        return i
+        return self._id(canonicalize(t), t, None)
 
     def rep(self, i: int) -> Term:
         """The representative term of class i.
@@ -148,51 +156,59 @@ class StateGraph:
         j = successors[side]
         if j is None:
             c, path = contract_canonical(self.forms[i], side == 1)
-            j = self.ids.get(c)
-            if j is None:
-                j = self._add(c, None, (i, path), is_normal_canonical(c))
-            successors[side] = j
+            j = successors[side] = self._id(c, None, (i, path))
         return j
 
     def successors(self, i: int, eps: Fraction) -> tuple:
         """Ids of the classes that reducible class i steps to under the
-        eps-mixture: its RI-successor at eps 0, its LO-successor at eps 1,
-        and otherwise both, LO first, or one id when they coincide."""
-        if eps == 0:
-            return (self._successor(i, 1),)
-        lo = self._successor(i, 0)
-        if eps == 1:
-            return (lo,)
+        eps-mixture, on the sides of _sides(eps), or one id when LO and RI
+        coincide."""
+        sides = _sides(eps)
+        j = self._successor(i, sides[0])
+        if len(sides) == 1:
+            return (j,)
         ri = self._successor(i, 1)
-        return (lo,) if lo == ri else (lo, ri)
+        return (j,) if j == ri else (j, ri)
+
+    def eps_row(self, eps: Fraction) -> Callable[[int], tuple]:
+        """The eps-mixture's row function, with the sides picked once by
+        _sides(eps): row(i) is ((successor id, probability), ...) from
+        reducible class i, with every normal-form target collapsed into TRM:
+        the one target with probability 1, else (LO, eps) then (RI, 1 - eps).
+        Two targets stay distinct under the collapse: they come from two
+        different redexes, and the RI step leaves the LO redex in place, so
+        the RI target is never normal."""
+        successors, step = self._successors, self._successor
+        sides = _sides(eps)
+        if len(sides) == 1:
+            (side,) = sides
+
+            def one_side(i: int) -> tuple:
+                j = step(i, side)
+                return ((TRM if successors[j] is None else j, _ONE),)
+
+            return one_side
+        rest = 1 - eps
+
+        def both_sides(i: int) -> tuple:
+            lo, ri = step(i, 0), step(i, 1)
+            lo_target = TRM if successors[lo] is None else lo
+            if lo == ri:
+                return ((lo_target, _ONE),)
+            return ((lo_target, eps), (TRM if successors[ri] is None else ri, rest))
+
+        return both_sides
 
     def chain_rows(self, states: Iterable[int], eps: Fraction) -> dict:
-        """The eps-mixture's row ((successor id, probability), ...) from
-        each reducible class i in states, with every normal-form target
-        collapsed into TRM: the one target with probability 1, else
-        (LO, eps) then (RI, 1 - eps).  Two targets stay distinct under the
-        collapse: they come from two different redexes, and the RI step
-        leaves the LO redex in place, so the RI target is never normal."""
-        weights = (eps, 1 - eps)
-        rows = {}
-        for i in states:
-            targets = tuple(TRM if self.is_normal(j) else j for j in self.successors(i, eps))
-            rows[i] = ((targets[0], _ONE),) if len(targets) == 1 else tuple(zip(targets, weights))
-        return rows
-
-    def _found(self, i: int, c: CanonicalTerm, path) -> int:
-        """Id of c, a reduct of class i at path; a new class records
-        (i, path) for rep to name it by."""
-        j = self.ids.get(c)
-        if j is None:
-            j = self._add(c, None, (i, path), is_normal_canonical(c))
-        return j
+        """The eps_row of each reducible class in states, keyed by its id."""
+        row = self.eps_row(eps)
+        return {i: row(i) for i in states}
 
     def beta(self, i: int) -> tuple:
         """Ids of all one-step reducts of class i, in redex order, each
         once."""
         if i not in self._beta:
-            found = (self._found(i, c, p) for c, p in reducts_canonical(self.forms[i]))
+            found = (self._id(c, None, (i, p)) for c, p in reducts_canonical(self.forms[i]))
             self._beta[i] = tuple(dict.fromkeys(found))
         return self._beta[i]
 
@@ -200,7 +216,7 @@ class StateGraph:
         """Ids of the reducts of class i through argument-normal redexes,
         in redex order, each once."""
         if i not in self._anf:
-            found = (self._found(i, c, p) for c, p in reducts_canonical(self.forms[i], True))
+            found = (self._id(c, None, (i, p)) for c, p in reducts_canonical(self.forms[i], True))
             self._anf[i] = tuple(dict.fromkeys(found))
         return self._anf[i]
 
@@ -469,7 +485,8 @@ class ChainAnalysis:
 def explore_states(
     t: Term, strategy: Strategy, state_cap: int = DEFAULT_STATE_CAP
 ) -> ChainAnalysis:
-    """Breadth-first closure of t under the strategy's supports.
+    """Breadth-first closure of t under the strategy's supports, each
+    state's row built by eps_row as the search visits it.
 
     Raises StateCapExceeded when more than state_cap distinct non-absorbing
     alpha-classes are discovered, so non-closure is an explicit result
@@ -479,29 +496,27 @@ def explore_states(
         raise ValueError("state_cap must be >= 1")
     graph = StateGraph()
     root = graph.intern(t)
-    eps = strategy.eps
+    rows: dict = {}
     states = []
     if not graph.is_normal(root):
+        row = graph.eps_row(strategy.eps)
         states = graph.closure(
-            root, lambda i: [j for j in graph.successors(i, eps) if not graph.is_normal(j)],
-            state_cap,
+            root, lambda i: [j for j, _ in rows.setdefault(i, row(i)) if j != TRM], state_cap
         )
-    return ChainAnalysis(
-        graph, root, strategy.name, tuple(states), graph.chain_rows(states, eps)
-    )
+    return ChainAnalysis(graph, root, strategy.name, tuple(states), rows)
 
 
-def sccs(successors: list) -> list[list[int]]:
+def iter_sccs(successors: list) -> Iterator[list[int]]:
     """Strongly connected components of the graph on 0 .. n-1 whose edges
     run from i to each id in successors[i], by Tarjan's algorithm (Tarjan
-    1972) on an explicit work stack.  Every component comes after each
-    component it has an edge into, so sinks come first."""
+    1972) on an explicit work stack.  Each component is yielded as it
+    closes, after every component it has an edge into, so sinks come
+    first."""
     n = len(successors)
     index = [-1] * n  # discovery number; -1 before it, n once in a component
     low = [0] * n
     edges = [iter(out) for out in successors]
     stack: list[int] = []
-    components: list[list[int]] = []
     counter = 0
     for root in range(n):
         work = [root] if index[root] < 0 else []
@@ -515,19 +530,24 @@ def sccs(successors: list) -> list[list[int]]:
                 if index[w] < 0:
                     work.append(w)
                     break
-                low[v] = min(low[v], index[w])
+                if index[w] < low[v]:
+                    low[v] = index[w]
             else:  # every edge of v is done
                 work.pop()
-                if work:
-                    low[work[-1]] = min(low[work[-1]], low[v])
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
                 if low[v] == index[v]:
                     component = [stack.pop()]
                     while component[-1] != v:
                         component.append(stack.pop())
                     for w in component:
                         index[w] = n
-                    components.append(component)
-    return components
+                    yield component
+
+
+def sccs(successors: list) -> list[list[int]]:
+    """The components of iter_sccs as a list, sinks first."""
+    return list(iter_sccs(successors))
 
 
 def _solve_linear(matrix: list[list], rhs: list[Fraction]) -> list[Fraction]:
@@ -556,7 +576,8 @@ def _solve_rows(
     """Absorption probability at TRM from origin and, when it is 1, the
     exact expected absorption time (None otherwise).
 
-    Strongly connected components are solved sinks first.  On one, the
+    Strongly connected components are solved as iter_sccs yields them,
+    sinks first, with TRM as one more node without edges.  On one, the
     absorption probability is 0 if it is 0 wherever an edge leaves the
     component (or none leaves), 1 if it is 1 there, and below 1 throughout
     otherwise; one exact system, fed by the values solved downstream, then
@@ -573,16 +594,20 @@ def _solve_rows(
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal
     n = len(states)
-    index = {i: r for r, i in enumerate(states)}
-    index[TRM] = n  # solved in advance: absorbed with probability 1 in 0 steps
-    edges = [[(index[target], p) for target, p in rows[i]] for i in states]
+    index = dict(zip(states, range(n)))
+    index[TRM] = n  # node n has no edges: absorbed with probability 1 in 0 steps
+    out = [rows[i] for i in states]
+    targets = [[index[target] for target, _ in row] for row in out] + [[]]
     h = [None] * n + [_ONE]  # absorption probability
     k = [None] * n + [_ZERO]  # expected absorption time where h == 1
-    for component in sccs([[j for j, _ in out if j < n] for out in edges]):
-        pos = {i: r for r, i in enumerate(component)}
+    for component in iter_sccs(targets):
+        if component[0] == n:
+            continue  # TRM, solved in advance
+        # one state is its own membership test; a larger component maps states to rows
+        pos = component if len(component) == 1 else {i: r for r, i in enumerate(component)}
         reaches, sure = False, True  # some exit has h > 0; every exit has h == 1
         for i in component:
-            for j, _ in edges[i]:
+            for j in targets[i]:
                 if j not in pos:  # 0 <= h[j] <= 1, so numerator and denominator decide
                     reaches = reaches or h[j].numerator != 0
                     sure = sure and h[j].numerator == h[j].denominator
@@ -594,7 +619,7 @@ def _solve_rows(
         if len(component) == 1:
             (i,) = component
             num, den, rest, whole = int(sure), 1, 1, 1  # b = num/den, 1 - loop = rest/whole
-            for j, p in edges[i]:
+            for j, (_, p) in zip(targets[i], out[i]):
                 if j == i:
                     rest, whole = p.denominator - p.numerator, p.denominator
                 else:
@@ -609,7 +634,7 @@ def _solve_rows(
             for r, i in enumerate(component):
                 matrix[r][r] = 1
                 b = _ONE if sure else _ZERO
-                for j, p in edges[i]:
+                for j, (_, p) in zip(targets[i], out[i]):
                     if j in pos:
                         matrix[r][pos[j]] -= p
                     else:

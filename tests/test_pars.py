@@ -21,6 +21,7 @@ from lambdalab.pars import (
     expected_length_truncated,
     explore_states,
     grid_expected_lengths,
+    iter_sccs,
     sccs,
     solve_expected_length,
 )
@@ -414,6 +415,29 @@ def test_explore_matches_eager_oracle_on_capture_prone_terms(literal):
     _assert_explore_matches_eager_oracle(parse(literal))
 
 
+def _assert_explored_rows_are_chain_rows(t):
+    """The rows the breadth-first search builds are chain_rows' on the
+    same graph, in the search's order."""
+    for eps in EXPLORE_ORACLE_EPS:
+        try:
+            chain = explore_states(t, Strategy.peps(eps), state_cap=200)
+        except StateCapExceeded:
+            continue
+        assert list(chain.rows) == list(chain.states)
+        assert chain.rows == chain.graph.chain_rows(chain.states, eps)
+
+
+@pytest.mark.parametrize("entry", anchor_corpus(), ids=lambda e: e.term_id)
+def test_explored_rows_are_chain_rows_on_anchor_terms(entry):
+    _assert_explored_rows_are_chain_rows(entry.term)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(list(SubCalculus)))
+@settings(max_examples=60, deadline=None)
+def test_explored_rows_are_chain_rows_on_random_terms(seed, tag):
+    _assert_explored_rows_are_chain_rows(random_term(seed, 40, tag))
+
+
 def test_rep_does_not_recurse_on_discovery_depth():
     # a balanced tree of identity redexes: LO contracts them left to right,
     # so each class is found from the one before while the terms stay shallow
@@ -590,6 +614,36 @@ def test_multi_state_component_never_terminates_under_ri():
     chain = analyze(MULTI_STATE, Strategy.ri())
     assert len(chain.states) == 3
     assert chain.termination_prob == 0 and chain.expected_length is None
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1), Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize(
+    "t",
+    [mk_Mn(12), parse("(\\x.x x x x) ((\\z.z) ((\\z.z) ((\\z.z) y)))"), MULTI_STATE],
+    ids=["Mn:12", "dup", "multi-state"],
+)
+def test_analyze_contracts_each_side_once_and_runs_one_tarjan(monkeypatch, t, eps):
+    contract, iter_sccs = pars.contract_canonical, pars.iter_sccs
+    contracted, tarjans = [], []
+
+    def counting_contract(c, rightmost):
+        contracted.append((c, rightmost))
+        return contract(c, rightmost)
+
+    def counting_sccs(successors):
+        tarjans.append(len(successors))
+        return iter_sccs(successors)
+
+    monkeypatch.setattr(pars, "contract_canonical", counting_contract)
+    monkeypatch.setattr(pars, "iter_sccs", counting_sccs)
+    chain = analyze(t, Strategy.peps(eps))
+    sides = (True,) if eps == 0 else (False,) if eps == 1 else (False, True)
+    forms = chain.graph.forms
+    # each state in search order, RI alone at eps 0, LO alone at eps 1
+    assert contracted == [(forms[i], rightmost) for i in chain.states for rightmost in sides]
+    assert tarjans == [len(chain.states) + 1]  # one Tarjan, over the states and TRM
+    chain.to_report()
+    assert len(contracted) == len(chain.states) * len(sides)
 
 
 @pytest.mark.parametrize("k", [20, 60])
@@ -771,6 +825,11 @@ def _synthetic_chain(spec):
 @example([{0: 1, -1: 1}])  # one state with a self-loop, sure absorption
 @example([{0: 1, 1: 1, -1: 1}, {1: 1}])  # one state with a self-loop, h = 1/2
 @example([{0: 1, 1: 1}, {1: 1}])  # one state with a self-loop, no absorption
+# a 2-state component with one-state components upstream and downstream
+@example([{1: 1}, {2: 1}, {1: 1, 3: 1}, {3: 1, -1: 1}])  # all sure, a self-loop below
+@example([{1: 1, 4: 1}, {2: 1}, {1: 1, 3: 1}, {-1: 1}, {4: 1}])  # partial absorption above
+@example([{1: 1}, {2: 1, 3: 1}, {1: 1, 4: 1}, {-1: 1}, {4: 1}])  # partial inside, h = 1/2
+@example([{1: 1, 2: 1}, {2: 1, 3: 1}, {3: 1, 1: 1}, {-1: 1, 3: 1}, {0: 1}])  # a feeder above
 @settings(max_examples=300, deadline=None)
 def test_solver_matches_dense_oracle_on_synthetic_chains(spec):
     states, rows = _synthetic_chain(spec)
@@ -801,6 +860,19 @@ def test_sccs_partition_by_mutual_reachability_sinks_first(successors):
             assert (where[i] == where[j]) == (j in reach[i] and i in reach[j])
         for j in successors[i]:
             assert where[j] <= where[i]  # a component after those it leads to
+
+
+def test_iter_sccs_yields_each_component_as_it_closes():
+    visited = []
+
+    def out(v, targets):
+        visited.append(v)
+        yield from targets
+
+    components = iter_sccs([out(0, []), out(1, [2]), out(2, [1, 0])])
+    assert next(components) == [0] and visited == [0]
+    assert sorted(next(components)) == [1, 2] and visited == [0, 1, 2]
+    assert next(components, None) is None
 
 
 def test_sccs_do_not_recurse_on_deep_graphs():
