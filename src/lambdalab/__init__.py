@@ -45,8 +45,6 @@ from .terms import (
     classify,
     ensure_recursion_headroom,
     free_vars,
-    is_lambda_A,
-    is_lambda_I,
     is_normal_form,
     mk_Cn,
     mk_I,

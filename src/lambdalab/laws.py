@@ -5,10 +5,10 @@ reports itself inconclusive when an enumeration cap was hit.
 Brute-force oracles work on the alpha-class reduction graph: breadth-first
 closure of a StateGraph under all one-step reducts (or all argument-normal
 reducts), with explicit state caps so blow-ups surface as inconclusive
-counts instead of hangs.  Each law is a per-term check, and one verdict
-loop, _check, runs it over a corpus and keeps the counts.  A law never
-passes vacuously because of a cap: cap hits and exhausted fuel are
-reported separately from passes.
+counts instead of hangs.  Each law is a per-term check on class ids, and
+one verdict loop, _check, runs it over a corpus on one shared StateGraph.
+A law never passes vacuously because of a cap: cap hits and exhausted fuel
+are reported separately from passes.
 """
 
 from __future__ import annotations
@@ -16,19 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
 from typing import Callable, Optional
 
 from .pars import StateCapExceeded, StateGraph, grid_expected_lengths, iter_sccs
-from .strategies import n_steps, walk
+from .strategies import StepCount
 from .terms import (
     SubCalculus,
     Term,
+    canonical_free_vars,
     canonical_size,
+    classify,
+    classify_canonical,
     ensure_recursion_headroom,
-    free_vars,
-    is_lambda_A,
-    is_lambda_I,
     mk_Cn,
     mk_example1,
     mk_example2,
@@ -37,6 +36,8 @@ from .terms import (
     mk_omega,
     mk_Omega,
     random_term,
+    reduce_at,
+    reducts_canonical,
     render,
 )
 
@@ -56,6 +57,8 @@ DEFAULT_CORPUS_COUNT = 200
 DEFAULT_WN_FUEL = 500
 DEFAULT_GRAPH_CAP = 600
 WN_SIZE_GUARD = 4_000  # largest LO reduct lo_normalizes admits, in nodes
+LAMBDA_I_TAGS = (SubCalculus.LAMBDA_I, SubCalculus.BOTH)
+LAMBDA_A_TAGS = (SubCalculus.LAMBDA_A, SubCalculus.BOTH)
 
 
 @dataclass(frozen=True)
@@ -103,17 +106,19 @@ class _Inconclusive(Exception):
     """A check ran out of fuel before it could decide."""
 
 
-Check = Callable[[Term], Optional[str]]  # None on pass, else the counterexample's detail
+Check = Callable[[StateGraph, int, Term], Optional[str]]  # None on pass, else the detail
 
 
 def _check(report: LawReport, corpus: list[CorpusTerm], check: Check) -> LawReport:
     """Run check on every corpus term and record its verdict in report: a
     pass, a counterexample, or an inconclusive case when the check hit a
-    state cap or ran out of fuel."""
+    state cap or ran out of fuel.  Each term is interned once into the run's
+    one StateGraph, and check gets the graph, the term's class id and term."""
+    graph = StateGraph()
     for entry in corpus:
         report.cases_run += 1
         try:
-            detail = check(entry.term)
+            detail = check(graph, graph.intern(entry.term), entry.term)
         except (StateCapExceeded, _Inconclusive):
             report.inconclusive += 1
             continue
@@ -155,11 +160,8 @@ def lo_normalizes(t: Term, fuel: int) -> Optional[int]:
     fuel runs out or a reduct outgrows WN_SIZE_GUARD first.  Sound as a
     weak-normalization certificate: only terms whose LO reduction
     demonstrably finishes are admitted."""
-    n = -1
-    for n, (c, _) in enumerate(islice(walk(t, "lo"), fuel + 2)):
-        if n and canonical_size(c) > WN_SIZE_GUARD:
-            return None
-    return n if n <= fuel else None
+    graph = StateGraph()
+    return _lo_steps(graph, graph.intern(t), fuel, WN_SIZE_GUARD)
 
 
 def random_corpus(
@@ -174,16 +176,13 @@ def random_corpus(
     ensure_recursion_headroom()
     entries: list[CorpusTerm] = []
     seed = base_seed
-    scanned = 0
     while len(entries) < count:
-        if scanned > count * 200:
+        if seed - base_seed > count * 200:
             raise RuntimeError(f"could not assemble {count} corpus terms for {tag}")
         t = random_term(seed, size_cap, tag)
-        ok = require_wn_fuel is None or lo_normalizes(t, require_wn_fuel) is not None
-        if ok:
+        if require_wn_fuel is None or lo_normalizes(t, require_wn_fuel) is not None:
             entries.append(CorpusTerm(f"{tag.value}#{seed}", t, seed))
         seed += 1
-        scanned += 1
     return entries
 
 
@@ -211,10 +210,25 @@ def default_corpora(
 Edges = Callable[[int], tuple]  # class id -> successor ids, e.g. StateGraph.beta
 
 
-def _closure(graph: StateGraph, t: Term, edges: Edges) -> list:
-    """Class ids reachable from t under edges in breadth-first order.
-    Raises StateCapExceeded past DEFAULT_GRAPH_CAP classes."""
-    return graph.closure(graph.intern(t), edges, DEFAULT_GRAPH_CAP)
+def _lo_steps(graph: StateGraph, i: int, fuel: int, guard: Optional[int] = None) -> Optional[int]:
+    """LO steps from class i to its normal form, along the graph's cached
+    LO successors, or None if fuel runs out first or, with a guard, a reduct
+    has more than guard nodes."""
+    for n in range(fuel + 1):
+        if graph.is_normal(i):
+            return n
+        (i,) = graph.successors(i, 1)  # LO is eps 1
+        if guard is not None and canonical_size(graph.forms[i]) > guard:
+            return None
+    return None
+
+
+def _reduct(graph: StateGraph, i: int, t: Term, j: int) -> Term:
+    """t's reduct in class j, named as a graph of t alone would: t itself
+    for a self-loop, else t contracted at the first reducts_canonical path to j."""
+    if j == i:
+        return t
+    return reduce_at(t, next(p for c, p in reducts_canonical(graph.forms[i]) if graph.ids[c] == j))
 
 
 def _adjacency(order: list, edges: Edges) -> list[list[int]]:
@@ -272,14 +286,6 @@ def _shortest_to_nf(order: list, edges: Edges) -> Optional[int]:
     return None
 
 
-def _n_lo(t: Term) -> int:
-    """N_LO(t); raises _Inconclusive when DEFAULT_WN_FUEL runs out first."""
-    count = n_steps(t, "lo", DEFAULT_WN_FUEL)
-    if not count.finite:
-        raise _Inconclusive
-    return count.steps
-
-
 # ---------------------------------------------------------------------------
 # the laws
 
@@ -292,14 +298,15 @@ def law_lo_monotone(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> La
     whose LO reduction runs out of fuel is a counterexample.
     """
 
-    def check(t: Term) -> Optional[str]:
-        steps = _n_lo(t)
-        graph = StateGraph()
-        for j in graph.beta(graph.intern(t)):
-            u = graph.rep(j)
-            reduct_count = n_steps(u, "lo", DEFAULT_WN_FUEL)
-            if not reduct_count.finite or reduct_count.steps > steps:
-                return f"reduct {render(u)} has N_LO {reduct_count} > {steps}"
+    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        steps = _lo_steps(graph, i, DEFAULT_WN_FUEL)
+        if steps is None:
+            raise _Inconclusive
+        for j in graph.beta(i):
+            n = _lo_steps(graph, j, DEFAULT_WN_FUEL)
+            if n is None or n > steps:
+                count = StepCount.exhausted(DEFAULT_WN_FUEL) if n is None else n
+                return f"reduct {render(_reduct(graph, i, t, j))} has N_LO {count} > {steps}"
         return None
 
     return _check(LawReport("lo_monotone", corpus_desc), corpus, check)
@@ -318,9 +325,9 @@ def law_anf_equal_length(corpus: list[CorpusTerm], corpus_desc: str = "corpus") 
     lengths 5 and 7, and each is reported as a counterexample.
     """
 
-    def check(t: Term) -> Optional[str]:
-        graph = StateGraph()
-        status, _, detail = _unique_length_to_nf(_closure(graph, t, graph.anf), graph.anf)
+    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        order = graph.closure(i, graph.anf, DEFAULT_GRAPH_CAP)
+        status, _, detail = _unique_length_to_nf(order, graph.anf)
         return None if status == "ok" else detail
 
     return _check(LawReport("anf_equal_length", corpus_desc), corpus, check)
@@ -334,28 +341,24 @@ def law_subcalculus_stability(corpora: dict[str, list[CorpusTerm]]) -> LawReport
     graph is finite and acyclic under the cap).
     """
 
-    def check_lambda_i(t: Term) -> Optional[str]:
-        if not is_lambda_I(t):
+    def check_lambda_i(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        if classify_canonical(graph.forms[i]) not in LAMBDA_I_TAGS:
             return "corpus term is not lambda-I"
-        fv = free_vars(t)
-        graph = StateGraph()
-        for j in graph.beta(graph.intern(t)):
-            u = graph.rep(j)
-            if not is_lambda_I(u):
-                return f"reduct {render(u)} left lambda-I"
-            if free_vars(u) != fv:
-                return f"reduct {render(u)} changed free variables"
+        fv = canonical_free_vars(graph.forms[i])
+        for j in graph.beta(i):
+            if classify_canonical(graph.forms[j]) not in LAMBDA_I_TAGS:
+                return f"reduct {render(_reduct(graph, i, t, j))} left lambda-I"
+            if canonical_free_vars(graph.forms[j]) != fv:
+                return f"reduct {render(_reduct(graph, i, t, j))} changed free variables"
         return None
 
-    def check_lambda_a(t: Term) -> Optional[str]:
-        if not is_lambda_A(t):
+    def check_lambda_a(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        if classify_canonical(graph.forms[i]) not in LAMBDA_A_TAGS:
             return "corpus term is not lambda-A"
-        graph = StateGraph()
-        for j in graph.beta(graph.intern(t)):
-            u = graph.rep(j)
-            if not is_lambda_A(u):
-                return f"reduct {render(u)} left lambda-A"
-        if not _acyclic(_closure(graph, t, graph.beta), graph.beta):
+        for j in graph.beta(i):
+            if classify_canonical(graph.forms[j]) not in LAMBDA_A_TAGS:
+                return f"reduct {render(_reduct(graph, i, t, j))} left lambda-A"
+        if not _acyclic(graph.closure(i, graph.beta, DEFAULT_GRAPH_CAP), graph.beta):
             return "reduction graph has a cycle (not SN)"
         return None
 
@@ -370,10 +373,11 @@ def law_lambdaA_lo_optimal(
     """On lambda-A terms no reduction sequence to normal form is shorter
     than the LO one (exhaustive shortest path against N_LO)."""
 
-    def check(t: Term) -> Optional[str]:
-        steps = _n_lo(t)
-        graph = StateGraph()
-        shortest = _shortest_to_nf(_closure(graph, t, graph.beta), graph.beta)
+    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        steps = _lo_steps(graph, i, DEFAULT_WN_FUEL)
+        if steps is None:
+            raise _Inconclusive
+        shortest = _shortest_to_nf(graph.closure(i, graph.beta, DEFAULT_GRAPH_CAP), graph.beta)
         if shortest is None:
             return "no reduction sequence reaches normal form"
         if steps > shortest:
@@ -397,10 +401,9 @@ def law_lambdaI_anf_optimal(
     is judged, so a cap hit on the full one leaves it inconclusive.
     """
 
-    def check(t: Term) -> Optional[str]:
-        graph = StateGraph()
-        anf_order = _closure(graph, t, graph.anf)
-        full_order = _closure(graph, t, graph.beta)
+    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        anf_order = graph.closure(i, graph.anf, DEFAULT_GRAPH_CAP)
+        full_order = graph.closure(i, graph.beta, DEFAULT_GRAPH_CAP)
         status, anf_len, detail = _unique_length_to_nf(anf_order, graph.anf)
         if status != "ok":
             return f"argument-normal lengths not unique: {detail}"
@@ -425,11 +428,14 @@ def law_eps_minimum(
 ) -> LawReport:
     """The expected derivation length over the eps grid attains its minimum
     at the stated endpoint (1 for lambda-A corpora, 0 for lambda-I ones).
-    solve, when given, stands for grid_expected_lengths over grid."""
+    solve, when given, stands for grid_expected_lengths over grid.  Raises
+    ValueError when minimum_at is not a point of grid."""
     minimum_at = Fraction(minimum_at)
+    if minimum_at not in map(Fraction, grid):
+        raise ValueError(f"eps={minimum_at} is not a point of the grid")
     solve = solve or partial(grid_expected_lengths, grid=grid)
 
-    def check(t: Term) -> Optional[str]:
+    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
         expected = {eps: e for eps, (_, e) in solve(t).items()}
         if any(e is None for e in expected.values()):
             divergent = ", ".join(str(eps) for eps in sorted(expected) if expected[eps] is None)
@@ -449,8 +455,8 @@ def law_foster(corpus: list[CorpusTerm], corpus_desc: str = "corpus", solve=None
     given, stands for grid_expected_lengths over a grid holding DEFAULT_GRID."""
     solve = solve or partial(grid_expected_lengths, grid=DEFAULT_GRID)
 
-    def check(t: Term) -> Optional[str]:
-        n_lo = lo_normalizes(t, DEFAULT_WN_FUEL)
+    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+        n_lo = _lo_steps(graph, i, DEFAULT_WN_FUEL, WN_SIZE_GUARD)
         if n_lo is None:
             raise _Inconclusive
         solved = solve(t)
@@ -506,8 +512,8 @@ def run_suite(
     anchor = corpora["anchor"]
     mixed = anchor + corpora["full"] + corpora["lambda-I"] + corpora["lambda-A"]
     mixed_desc = f"anchor + 3x{count} random terms (size<={size_cap}, seed {base_seed})"
-    lambda_i = [e for e in anchor if is_lambda_I(e.term)] + corpora["lambda-I"]
-    lambda_a = [e for e in anchor if is_lambda_A(e.term)] + corpora["lambda-A"]
+    lambda_i = [e for e in anchor if classify(e.term) in LAMBDA_I_TAGS] + corpora["lambda-I"]
+    lambda_a = [e for e in anchor if classify(e.term) in LAMBDA_A_TAGS] + corpora["lambda-A"]
     wn_lambda_i = [e for e in lambda_i if lo_normalizes(e.term, DEFAULT_WN_FUEL) is not None]
 
     solve = cache(partial(grid_expected_lengths, grid=GRID_WITH_ZERO))  # once per term

@@ -545,11 +545,6 @@ def iter_sccs(successors: list) -> Iterator[list[int]]:
                     yield component
 
 
-def sccs(successors: list) -> list[list[int]]:
-    """The components of iter_sccs as a list, sinks first."""
-    return list(iter_sccs(successors))
-
-
 def _solve_linear(matrix: list[list], rhs: list[Fraction]) -> list[Fraction]:
     """Exact Gauss-Jordan elimination of matrix x = rhs; raises
     SingularSystem on a zero pivot."""

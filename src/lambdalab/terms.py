@@ -607,15 +607,23 @@ def is_normal_canonical(c: CanonicalTerm) -> bool:
     return c[0] not in "AL"
 
 
+def _canonical_nodes(c: CanonicalTerm) -> list:
+    """Every node of a canonical form, each after its parent."""
+    nodes = [c]
+    for node in nodes:  # nodes grows while it is walked
+        if node[0] in "lLaA":
+            nodes += node[1:]
+    return nodes
+
+
 def canonical_size(c: CanonicalTerm) -> int:
     """term_size on a canonical form: its node count."""
-    n, stack = 0, [c]
-    while stack:
-        node = stack.pop()
-        n += 1
-        if node[0] in "lLaA":
-            stack += node[1:]
-    return n
+    return len(_canonical_nodes(c))
+
+
+def canonical_free_vars(c: CanonicalTerm) -> set[str]:
+    """free_vars on a canonical form: the names it keeps free."""
+    return {node[1] for node in _canonical_nodes(c) if node[0] == "f"}
 
 
 # ---------------------------------------------------------------------------
@@ -631,40 +639,32 @@ class SubCalculus(Enum):
     BOTH = "both"  # linear: every binder occurs exactly once
 
 
-def _free_occurrences(t: Term, name: str) -> int:
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    if isinstance(t, Abs):
-        return 0 if t.binder == name else _free_occurrences(t.body, name)
-    return _free_occurrences(t.fn, name) + _free_occurrences(t.arg, name)
-
-
-def is_lambda_I(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Abs):
-        return _free_occurrences(t.body, t.binder) >= 1 and is_lambda_I(t.body)
-    return is_lambda_I(t.fn) and is_lambda_I(t.arg)
-
-
-def is_lambda_A(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Abs):
-        return _free_occurrences(t.body, t.binder) <= 1 and is_lambda_A(t.body)
-    return is_lambda_A(t.fn) and is_lambda_A(t.arg)
+def classify_canonical(c: CanonicalTerm) -> SubCalculus:
+    """The most specific tag of a canonical form, in one pass on an explicit
+    stack: lambda-I when every binder's index occurs at least once in its
+    body, lambda-A when at most once."""
+    counts: list[int] = []  # occurrences of each enclosing binder, innermost last
+    fewest, most, stack = 1, 0, [c]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the end of an abstraction's body
+            n = counts.pop()
+            fewest, most = min(fewest, n), max(most, n)
+        elif node[0] == "b":
+            counts[-1 - node[1]] += 1
+        elif node[0] in "lL":
+            counts.append(0)
+            stack += (None, node[1])
+        elif node[0] in "aA":
+            stack += node[1:]
+    if fewest >= 1:
+        return SubCalculus.BOTH if most <= 1 else SubCalculus.LAMBDA_I
+    return SubCalculus.LAMBDA_A if most <= 1 else SubCalculus.FULL
 
 
 def classify(t: Term) -> SubCalculus:
-    """Most specific tag; consistent with is_lambda_I / is_lambda_A."""
-    i, a = is_lambda_I(t), is_lambda_A(t)
-    if i and a:
-        return SubCalculus.BOTH
-    if i:
-        return SubCalculus.LAMBDA_I
-    if a:
-        return SubCalculus.LAMBDA_A
-    return SubCalculus.FULL
+    """Most specific tag of t, decided on its canonical form."""
+    return classify_canonical(canonicalize(t))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ contracts one with reduce_at, by capture-avoiding substitution.  No step
 reads a canonical form's tags or de Bruijn indices, so the steps check
 contract_canonical, reducts_canonical and StateGraph.beta/anf from
 outside.  alpha_eq decides alpha-equivalence by pairing binders, without
-canonical forms, and so checks canonicalize.
+canonical forms, and so checks canonicalize.  is_lambda_I, is_lambda_A and
+classify count each binder's occurrences by name, rescanning every
+abstraction body, and so check terms.classify_canonical.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from lambdalab.terms import (
     App,
     InvalidPath,
     RedexPath,
+    SubCalculus,
     Term,
     Var,
     canonicalize,
@@ -106,3 +109,41 @@ def anf_successors(t: Term) -> list[Term]:
     return _alpha_distinct(
         reduce_at(t, p) for p in redexes(t) if is_normal_form(subterm_at(t, p).arg)
     )
+
+
+def _free_occurrences(t: Term, name: str) -> int:
+    if isinstance(t, Var):
+        return 1 if t.name == name else 0
+    if isinstance(t, Abs):
+        return 0 if t.binder == name else _free_occurrences(t.body, name)
+    return _free_occurrences(t.fn, name) + _free_occurrences(t.arg, name)
+
+
+def is_lambda_I(t: Term) -> bool:
+    """Every binder occurs in its body."""
+    if isinstance(t, Var):
+        return True
+    if isinstance(t, Abs):
+        return _free_occurrences(t.body, t.binder) >= 1 and is_lambda_I(t.body)
+    return is_lambda_I(t.fn) and is_lambda_I(t.arg)
+
+
+def is_lambda_A(t: Term) -> bool:
+    """Every binder occurs at most once in its body."""
+    if isinstance(t, Var):
+        return True
+    if isinstance(t, Abs):
+        return _free_occurrences(t.body, t.binder) <= 1 and is_lambda_A(t.body)
+    return is_lambda_A(t.fn) and is_lambda_A(t.arg)
+
+
+def classify(t: Term) -> SubCalculus:
+    """The most specific tag, from is_lambda_I and is_lambda_A."""
+    i, a = is_lambda_I(t), is_lambda_A(t)
+    if i and a:
+        return SubCalculus.BOTH
+    if i:
+        return SubCalculus.LAMBDA_I
+    if a:
+        return SubCalculus.LAMBDA_A
+    return SubCalculus.FULL

@@ -579,10 +579,18 @@ LAWS_GOLDEN_DIGESTS = {  # exit code and SHA-256 of stdout: laws runs that do no
         EXIT_OK,
         "29b7851ca7d7e565c3397c2f09d06a7a34cbc9c7796cca3a172e82f0340002bd",
     ),
+    # 915 entries per mixed-corpus law, one counterexample (anf_equal_length)
+    ("laws", "--suite", "all", "--size-cap", "16", "--count", "300", "--seed", "11",
+     "--format", "json"): (
+        EXIT_VIOLATION,
+        "387e18cba9ab6ea4fe9a4a1f8ff2fa067923aee260f94e6cba31f78e22ca9d69",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", LAWS_GOLDEN_DIGESTS, ids=["counterexample", "inconclusive"])
+@pytest.mark.parametrize(
+    "argv", LAWS_GOLDEN_DIGESTS, ids=["counterexample", "inconclusive", "all-seed-11"]
+)
 def test_laws_matches_golden_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == LAWS_GOLDEN_DIGESTS[argv]

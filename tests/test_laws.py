@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambdalab import laws, pars, repro
+from lambdalab import laws, pars, repro, terms
 from lambdalab.laws import (
     CorpusTerm,
     DEFAULT_GRAPH_CAP,
@@ -31,16 +31,18 @@ from lambdalab.terms import (
     App,
     SubCalculus,
     Var,
-    is_lambda_A,
-    is_lambda_I,
     mk_Mn,
     mk_Omega,
     mk_example1,
+    mk_example2,
     parse,
     redexes,
     reduce_at,
+    render,
     term_size,
 )
+
+from named_oracle import is_lambda_A, is_lambda_I
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,14 @@ def test_law_eps_minimum_reports_divergent_grid_points():
     assert "no finite expected length" in report.counterexamples[0]["detail"]
 
 
+@pytest.mark.parametrize("term", [mk_example2(), mk_Mn(2)], ids=["example2", "Mn:2"])
+def test_law_eps_minimum_rejects_a_minimum_off_the_grid(term):
+    solved = []
+    with pytest.raises(ValueError, match="not a point of the grid"):
+        law_eps_minimum([CorpusTerm("t", term)], Fraction(1, 3), solve=solved.append)
+    assert solved == []  # raised before the first check ran
+
+
 def test_law_foster_passes(small_corpora):
     entries = small_corpora["anchor"] + small_corpora["full"]
     wn = [e for e in entries if lo_normalizes(e.term, 500) is not None]
@@ -243,6 +253,75 @@ def test_run_suite_core(small_corpora):
     reports = run_suite("core", corpora=small_corpora, count=40)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
+
+
+def test_law_run_builds_one_state_graph_per_check(small_corpora, monkeypatch):
+    graphs, built = [0], []
+
+    class CountingGraph(pars.StateGraph):
+        def __init__(self):
+            super().__init__()
+            graphs[0] += 1
+
+    real = laws._check
+
+    def counting_check(report, corpus, check):
+        before = graphs[0]
+        real(report, corpus, check)
+        built.append(graphs[0] - before)
+        return report
+
+    monkeypatch.setattr(laws, "StateGraph", CountingGraph)
+    monkeypatch.setattr(laws, "_check", counting_check)
+    reports = run_suite("core", corpora=small_corpora, count=40)
+    assert all(r.passed for r in reports)
+    # lo_monotone, anf_equal_length, subcalculus_stability (lambda-I, then
+    # lambda-A), lambdaA_lo_optimal and lambdaI_anf_optimal
+    assert built == [1] * 6
+
+
+def test_law_lo_monotone_names_no_reduct_without_a_counterexample(small_corpora, monkeypatch):
+    calls = []
+
+    def counting(t, path):
+        calls.append(path)
+        return reduce_at(t, path)
+
+    for module in (laws, pars, terms):
+        monkeypatch.setattr(module, "reduce_at", counting, raising=False)
+    report = law_lo_monotone(small_corpora["anchor"] + small_corpora["full"])
+    assert report.passed and report.cases_passed > 0
+    assert calls == []
+
+
+def test_counterexample_names_its_reduct_as_a_graph_of_the_term_alone(monkeypatch):
+    # first is t up to binder names, so in the law run's one graph first finds
+    # t's class and both of its reducts' classes, under first's names
+    first = parse("(\\p.p) (\\q.(\\r.r) q)")
+    t = parse("(\\x.x) (\\y.(\\z.z) y)")
+    fresh = pars.StateGraph()
+    j = fresh.beta(fresh.intern(t))[1]  # the second reduct, by the inner redex
+    marked = fresh.forms[j]
+    real = laws.classify_canonical
+    monkeypatch.setattr(
+        laws, "classify_canonical", lambda c: SubCalculus.FULL if c == marked else real(c)
+    )
+    corpus = [CorpusTerm("first", first), CorpusTerm("t", t)]
+    report = law_subcalculus_stability({"lambda-I": corpus})
+    assert render(fresh.rep(j)) == "(\\x.x) (\\y.y)"
+    assert [ce["detail"] for ce in report.counterexamples] == [
+        "reduct (\\p.p) (\\q.q) left lambda-I",
+        f"reduct {render(fresh.rep(j))} left lambda-I",
+    ]
+
+
+def test_self_loop_reduct_is_the_term_itself():
+    omega = mk_Omega()
+    graph = pars.StateGraph()
+    graph.intern(parse("(\\a.a a) (\\b.b b)"))
+    i = graph.intern(omega)
+    assert graph.beta(i) == (i,)
+    assert laws._reduct(graph, i, omega, i) is omega
 
 
 def test_run_suite_single_law(small_corpora):

@@ -22,7 +22,6 @@ from lambdalab.pars import (
     explore_states,
     grid_expected_lengths,
     iter_sccs,
-    sccs,
     solve_expected_length,
 )
 from lambdalab.repro import closed_form_mix_cost
@@ -852,7 +851,7 @@ def test_sccs_partition_by_mutual_reachability_sinks_first(successors):
         for i in range(n):
             for j in successors[i]:
                 reach[i] |= reach[j]
-    components = sccs(successors)
+    components = list(iter_sccs(successors))
     assert sorted(v for c in components for v in c) == list(range(n))
     where = {v: k for k, c in enumerate(components) for v in c}
     for i in range(n):
@@ -880,8 +879,8 @@ def test_sccs_do_not_recurse_on_deep_graphs():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        path = sccs([[i + 1] for i in range(n - 1)] + [[]])
-        cycle = sccs([[(i + 1) % n] for i in range(n)])
+        path = list(iter_sccs([[i + 1] for i in range(n - 1)] + [[]]))
+        cycle = list(iter_sccs([[(i + 1) % n] for i in range(n)]))
     finally:
         sys.setrecursionlimit(limit)
     assert path == [[i] for i in reversed(range(n))]
@@ -976,7 +975,8 @@ ONE_STATE_CHAINS = {
 def test_one_state_components_match_dense_oracle(name):
     rows = ONE_STATE_CHAINS[name]
     states = tuple(rows)
-    assert all(len(c) == 1 for c in sccs([[j for j, _ in rows[i] if j != TRM] for i in states]))
+    successors = [[j for j, _ in rows[i] if j != TRM] for i in states]
+    assert all(len(c) == 1 for c in iter_sccs(successors))
     for origin in states:
         got = _solve_rows(states, rows, origin)
         assert got == solve_rows_dense(states, rows, origin)

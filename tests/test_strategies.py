@@ -36,6 +36,8 @@ from named_oracle import (
     alpha_eq,
     anf_successors,
     beta_successors,
+    is_lambda_A,
+    is_lambda_I,
     step_lo,
     step_ri,
     subterm_at,
@@ -330,7 +332,7 @@ def test_lambdaI_anf_is_shortest():
 
 
 def test_lambda_subcalculi_closed_under_reduction():
-    from lambdalab.terms import free_vars, is_lambda_A, is_lambda_I
+    from lambdalab.terms import free_vars
 
     for seed in range(120):
         t_i = random_term(seed, 10, SubCalculus.LAMBDA_I)

@@ -18,10 +18,9 @@ from lambdalab.terms import (
     canonical_size,
     canonicalize,
     classify,
+    classify_canonical,
     contract_canonical,
     free_vars,
-    is_lambda_A,
-    is_lambda_I,
     is_normal_canonical,
     is_normal_form,
     mk_Cn,
@@ -42,7 +41,8 @@ from lambdalab.terms import (
 )
 
 from conftest import reducible_terms, terms
-from named_oracle import alpha_eq, subterm_at
+import named_oracle
+from named_oracle import alpha_eq, is_lambda_A, is_lambda_I, subterm_at
 
 
 I = mk_I()
@@ -425,6 +425,47 @@ def test_classify_matches_predicates(t):
     tag = classify(t)
     assert (tag in (SubCalculus.LAMBDA_I, SubCalculus.BOTH)) == is_lambda_I(t)
     assert (tag in (SubCalculus.LAMBDA_A, SubCalculus.BOTH)) == is_lambda_A(t)
+
+
+@given(terms)
+def test_classify_canonical_matches_named_oracle(t):
+    assert classify_canonical(canonicalize(t)) == named_oracle.classify(t)
+
+
+@pytest.mark.parametrize("tag", list(SubCalculus), ids=lambda tag: tag.value)
+def test_classify_canonical_matches_named_oracle_on_random_terms(tag):
+    for seed in range(150):
+        t = random_term(seed, 40, tag)
+        assert classify_canonical(canonicalize(t)) == named_oracle.classify(t)
+
+
+def test_classify_canonical_matches_named_oracle_on_anchor_corpus():
+    for entry in anchor_corpus():
+        assert classify_canonical(canonicalize(entry.term)) == named_oracle.classify(entry.term)
+
+
+def _nested_abstractions(n, body, per_level=lambda inner: inner):
+    """n abstractions around body, built bottom-up as canonical tuples."""
+    c = body
+    for _ in range(n):
+        c = ("l", per_level(c))
+    return c
+
+
+def test_classify_canonical_does_not_recurse():
+    n = 100_000
+    used_once = lambda inner: ("a", ("b", 0), inner)  # each binder applied to the rest
+    linear = _nested_abstractions(n, ("f", "y"), used_once)
+    twice = _nested_abstractions(n, ("b", 0), used_once)  # the innermost binder twice
+    outermost_only = _nested_abstractions(n, ("b", n - 1))  # the others are unused
+    unused_and_twice = _nested_abstractions(n, ("a", ("b", n - 1), ("b", n - 1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tags = [classify_canonical(c) for c in (linear, twice, outermost_only, unused_and_twice)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tags == [SubCalculus.BOTH, SubCalculus.LAMBDA_I, SubCalculus.LAMBDA_A, SubCalculus.FULL]
 
 
 # ---------------------------------------------------------------------------
