@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import laws as laws_mod
 from . import repro as repro_mod
-from .montecarlo import estimate, sample_path
+from .montecarlo import SplitMix64, estimate
 from .pars import DEFAULT_STATE_CAP, StateCapExceeded, analyze, grid_expected_lengths
 from .strategies import DEFAULT_FUEL, Strategy, n_steps, parse_probability, walk
 from .terms import (
@@ -29,6 +29,7 @@ from .terms import (
     ParseError,
     Term,
     ensure_recursion_headroom,
+    is_normal_canonical,
     mk_Cn,
     mk_Mn,
     parse,
@@ -132,19 +133,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_reduce(args) -> int:
     _, t = resolve_term(args.term)
     strategy = Strategy.parse(args.strategy)
-    if strategy.name in ("lo", "ri"):
-        # lo and ri replay each step's redex path on the concrete terms
-        steps = list(islice(walk(t, strategy.name), args.fuel + 2))
-        finished = len(steps) <= args.fuel + 1
-        path = [t]
-        for _, redex in steps[1:args.fuel + 1]:
-            path.append(reduce_at(path[-1], redex))
-    else:
-        # a mixture is traced by sampling one seeded run over the alpha-classes
-        path, finished = sample_path(t, strategy, args.seed, args.fuel)
+    # one seeded run, replaying each step's redex path on the named terms
+    forms = list(islice(walk(t, strategy, SplitMix64(args.seed).below), args.fuel + 1))
+    path = [t]
+    for _, redex in forms[1:]:
+        path.append(reduce_at(path[-1], redex))
     lines = [render(path[0])] + [f"-> {render(u)}" for u in path[1:]]
     steps = len(path) - 1
-    if not finished:
+    if not is_normal_canonical(forms[-1][0]):
         lines.append(f"fuel exhausted after {steps} steps")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_INCONCLUSIVE
@@ -260,6 +256,7 @@ def cmd_montecarlo(args) -> int:
     term_id, t = resolve_term(args.term)
     eps = parse_probability(args.eps)
     est = estimate(t, Strategy.peps(eps), args.seed, args.samples, args.max_steps)
+    code = EXIT_INCONCLUSIVE if est.cutoff_count == est.sample_count else EXIT_OK
     if args.format == "json":
         payload = {
             "term_id": term_id,
@@ -272,7 +269,7 @@ def cmd_montecarlo(args) -> int:
             "confidence_halfwidth_95": f"{est.confidence_halfwidth_95:.6f}",
         }
         _emit(_json(payload) + "\n", args.out)
-        return EXIT_OK
+        return code
     lines = [
         f"term: {term_id} = {render(t)}",
         f"strategy: {Strategy.peps(eps).name}",
@@ -283,7 +280,7 @@ def cmd_montecarlo(args) -> int:
         f"confidence_halfwidth_95: {est.confidence_halfwidth_95:.6f}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return code
 
 
 def cmd_laws(args) -> int:

@@ -11,6 +11,8 @@ this scheme; never change it silently.
 Runs count steps on a jump table indexed by class id: each side of a
 branching class jumps over the draw-free steps that follow its draw, so a
 run costs one lookup per draw.  estimate reseeds one generator per run.
+A run's reducts come from strategies.walk, which draws the same way, so
+the jump table's graph is the only one a run is sampled on.
 Each draw stays a call of SplitMix64.below, which calls next_u64, because
 the benchmark's tracer counts draws and rejections by wrapping these two.
 """
@@ -139,19 +141,6 @@ class _Sampler:
             jump, state = lo if below(den) < cut else ri
             steps += jump
         return max_steps, None
-
-
-def sample_path(t: Term, strategy: Strategy, seed: int, max_steps: int) -> tuple[list, bool]:
-    """Representatives of the classes one seeded run visits, origin first,
-    and whether the run reached a normal form within max_steps steps."""
-    # stepped one class at a time, not on a jump table, so the graph finds
-    # each class on the first step to it and names it after that step
-    rng, eps, graph = SplitMix64(seed), strategy.eps, StateGraph()
-    path = [graph.intern(t)]
-    while len(path) <= max_steps and not graph.is_normal(path[-1]):
-        targets = graph.successors(path[-1], eps)
-        path.append(targets[len(targets) > 1 and rng.below(eps.denominator) >= eps.numerator])
-    return [graph.rep(i) for i in path], graph.is_normal(path[-1])
 
 
 def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunResult:

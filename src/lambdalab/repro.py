@@ -73,7 +73,7 @@ def criterion_1() -> CriterionResult:
 def _follow(t: Term, strategy: str, expected: list[Term]) -> tuple[bool, list[str]]:
     seen = [render(t)]
     current = t
-    steps = islice(walk(t, strategy), 1, None)
+    steps = islice(walk(t, Strategy.parse(strategy)), 1, None)
     for want, (_, path) in zip(expected, steps):
         current = reduce_at(current, path)
         seen.append(render(current))

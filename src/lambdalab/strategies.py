@@ -1,7 +1,7 @@
 """Reduction strategies: the randomized mixture that picks the LO-redex
 with probability eps and the RI-redex with probability 1 - eps, with
-deterministic LO and RI as its endpoints, and derivation-length counters
-on canonical forms.
+deterministic LO and RI as its endpoints, the one walker that runs any of
+them, and derivation-length counters on canonical forms.
 
 All probabilities are exact rationals end to end; no floating point enters
 strategy or solver code.  A strategy's output distribution always has total
@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .terms import (
     CanonicalTerm,
@@ -181,24 +181,36 @@ class Strategy:
 # derivation-length counters
 
 
-def walk(t: Term, strategy: str) -> Iterator[tuple[CanonicalTerm, Optional[RedexPath]]]:
-    """The canonical forms of t and of its successive reducts under "lo" or
-    "ri", ending with the normal form if one is reached.  Each comes with
-    the path of the redex whose contraction gave it, None for t itself, so
-    replaying the paths with reduce_at rebuilds the named reducts."""
-    if strategy not in ("lo", "ri"):
-        raise ValueError(f"no deterministic strategy {strategy!r} (want lo or ri)")
-    rightmost = strategy == "ri"
+def walk(
+    t: Term, strategy: Strategy, below: Optional[Callable[[int], int]] = None
+) -> Iterator[tuple[CanonicalTerm, Optional[RedexPath]]]:
+    """The canonical forms of t and of its successive reducts under the
+    strategy, ending with the normal form if one is reached.  Each comes
+    with the path of the redex whose contraction gave it, None for t
+    itself, so replaying the paths with reduce_at rebuilds the named
+    reducts.  At eps 1 a step contracts the LO-redex, at eps 0 the RI-redex;
+    a mixture contracts both, and only where the reducts are different
+    classes does it draw below(eps.denominator), taking the RI-reduct when
+    the draw is >= eps.numerator, as a Monte Carlo run draws."""
+    eps = strategy.eps
+    mixture = 0 < eps < 1
+    if mixture and below is None:
+        raise ValueError(f"strategy {strategy.name} is a mixture and needs draws")
     step = canonicalize(t), None
     while step is not None:
         yield step
-        step = contract_canonical(step[0], rightmost)
+        c = step[0]
+        step = contract_canonical(c, eps == 0)
+        if mixture and step is not None:
+            ri = contract_canonical(c, True)
+            if ri[0] != step[0] and below(eps.denominator) >= eps.numerator:
+                step = ri
 
 
 def n_steps(t: Term, strategy: str, fuel: int = DEFAULT_FUEL) -> StepCount:
-    """Steps to normal form under a deterministic strategy, fuel-bounded."""
+    """Steps to normal form under "lo", "ri" or an endpoint peps, fuel-bounded."""
     # fuel steps visit fuel + 1 terms; a further term means the fuel ran out
-    n = sum(1 for _ in islice(walk(t, strategy), fuel + 2)) - 1
+    n = sum(1 for _ in islice(walk(t, Strategy.parse(strategy)), fuel + 2)) - 1
     return StepCount.reached(n) if n <= fuel else StepCount.exhausted(fuel)
 
 

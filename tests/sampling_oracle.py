@@ -2,8 +2,8 @@
 
 Each run builds its own SplitMix64 and walks one step at a time, drawing
 at every class whose LO- and RI-successors differ, and records the path
-it visits.  The library's jump table must give the same runs, draw for
-draw.
+it visits.  The library's jump table must give the same runs, and
+strategies.walk the same paths, draw for draw.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ class Sampler:
                 state = lo if rng.below(den) < cut else ri
             path.append(state)
         return path
-
-
-def sample_path(t: Term, strategy: Strategy, seed: int, max_steps: int) -> tuple[list, bool]:
-    sampler = Sampler(t, strategy)
-    path = sampler.path(seed, max_steps)
-    return [sampler.graph.rep(i) for i in path], sampler.graph.is_normal(path[-1])
 
 
 def sample_run(t: Term, strategy: Strategy, seed: int, max_steps: int) -> RunResult:

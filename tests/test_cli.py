@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 import lambdalab
 from lambdalab.cli import (
@@ -24,7 +26,18 @@ from lambdalab.cli import (
     sweep_rows,
 )
 from lambdalab.laws import GRID_WITH_ZERO, anchor_corpus, random_corpus
-from lambdalab.terms import SubCalculus, canonicalize, mk_Cn, mk_Mn, mk_Omega, parse, render
+from lambdalab.terms import (
+    SubCalculus,
+    mk_Cn,
+    mk_Mn,
+    mk_Omega,
+    parse,
+    redexes,
+    reduce_at,
+    render,
+)
+
+from conftest import reducible_terms
 
 
 def run_cli(capsys, *argv):
@@ -111,15 +124,15 @@ def test_reduce_lo_prints_actual_reducts(capsys):
     ]
 
 
-def test_reduce_peps_prints_class_representatives(capsys):
+def test_reduce_peps_prints_actual_reducts(capsys):
     code, out = run_cli(
         capsys, "reduce", SELF_APPLICATION, "--fuel", "2", "--strategy", "peps:1/1"
     )
     assert code == EXIT_INCONCLUSIVE
     assert out.splitlines() == [
         "(\\x.x x) (\\y.y y)",
-        "-> (\\x.x x) (\\y.y y)",
-        "-> (\\x.x x) (\\y.y y)",
+        "-> (\\y.y y) (\\y.y y)",
+        "-> (\\y.y y) (\\y.y y)",
         "fuel exhausted after 2 steps",
     ]
 
@@ -131,8 +144,7 @@ def test_reduce_peps_seeded_trace_deterministic(capsys):
     assert first == second
 
 
-# a cycle whose LO reduct renames a binder: lo prints the reduct, peps:1/1
-# the class's first-found representative, the term itself
+# a cycle whose LO reduct renames a binder, so every line names the reduct
 RENAMING_CYCLE = "a ((\\v0.v0 v0) (\\v1.v1 v1))"
 
 
@@ -142,22 +154,49 @@ def _reduce_lines(capsys, text, strategy, fuel):
 
 
 def test_reduce_endpoints_agree_with_lo_and_ri_up_to_alpha(capsys):
+    # the endpoints print the same bytes as lo and ri, not only the same classes
     texts = [RENAMING_CYCLE] + [e.term_id for e in anchor_corpus()]
     texts += [render(e.term) for e in random_corpus(SubCalculus.FULL, count=300)]
-    renamed = []
     for text in texts:
         for fuel in (0, 3, 40):
             for named, mixture in (("lo", "peps:1/1"), ("ri", "peps:0/1")):
-                code, lines = _reduce_lines(capsys, text, named, fuel)
-                mix_code, mix_lines = _reduce_lines(capsys, text, mixture, fuel)
-                assert code == mix_code and len(lines) == len(mix_lines), (text, named, fuel)
-                assert lines[-1] == mix_lines[-1]
-                for a, b in zip(lines[:-1], mix_lines[:-1]):
-                    a, b = a.removeprefix("-> "), b.removeprefix("-> ")
-                    assert canonicalize(parse(a)) == canonicalize(parse(b)), (text, named, fuel)
-                if lines != mix_lines:
-                    renamed.append((text, named, fuel))
-    assert (RENAMING_CYCLE, "lo", 3) in renamed
+                assert _reduce_lines(capsys, text, named, fuel) == _reduce_lines(
+                    capsys, text, mixture, fuel
+                ), (text, named, fuel)
+
+
+REDUCE_ENDPOINT_DIGESTS = {  # SHA-256 of stdout; every run exits 2 (fuel exhausted)
+    (RENAMING_CYCLE, "3"): "dd6e0adeaa70f01058dca08be321261b2f68d6cfbb7e7c100e3f7f369af20f05",
+    (SELF_APPLICATION, "2"): "090a7b4b35041310da8b2d963b31c922160a00af2315c7933575414837f38b23",
+}
+
+
+@pytest.mark.parametrize(
+    "text, fuel, strategy",
+    [(RENAMING_CYCLE, "3", "lo"), (RENAMING_CYCLE, "3", "peps:1/1"),
+     (SELF_APPLICATION, "2", "ri"), (SELF_APPLICATION, "2", "peps:0/1")],
+    ids=["lo", "peps:1/1", "ri", "peps:0/1"],
+)
+def test_reduce_endpoint_matches_golden_digest(capsys, text, fuel, strategy):
+    code, out = run_cli(capsys, "reduce", text, "--strategy", strategy, "--fuel", fuel)
+    assert code == EXIT_INCONCLUSIVE
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REDUCE_ENDPOINT_DIGESTS[text, fuel]
+
+
+@given(reducible_terms, st.sampled_from(["1/2", "2/5", "3/7", "1/3"]), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+@example(parse(RENAMING_CYCLE), "1/2", 0)
+def test_reduce_mixture_lines_are_one_step_reducts(t, eps, seed):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["reduce", render(t), "--strategy", f"peps:{eps}", "--seed", str(seed),
+                     "--fuel", "20"])
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    lines = [line.removeprefix("-> ") for line in buf.getvalue().splitlines()[:-1]]
+    assert len(lines) > 1
+    for before, after in zip(lines, lines[1:]):
+        previous = parse(before)
+        assert after in {render(reduce_at(previous, p)) for p in redexes(previous)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +316,17 @@ def test_montecarlo_json(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["mean"] == "0.000000" and payload["cutoff_count"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_montecarlo_all_cutoffs_is_inconclusive(capsys, fmt):
+    # with every run cut off there is no mean: exit 2; with some, exit 0
+    base = ("montecarlo", "example1", "--samples", "3", "--format", fmt)
+    for flags, cutoffs, want in ((("--eps", "0", "--max-steps", "5"), 3, EXIT_INCONCLUSIVE),
+                                 (("--eps", "1/2", "--max-steps", "2"), 2, EXIT_OK)):
+        code, out = run_cli(capsys, *base, *flags)
+        assert code == want
+        assert f"cutoffs: {cutoffs}\n" in out or f'"cutoff_count": {cutoffs},' in out
 
 
 # ---------------------------------------------------------------------------

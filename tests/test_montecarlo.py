@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 import sampling_oracle as oracle
 from lambdalab import montecarlo
 from lambdalab.laws import random_corpus
-from lambdalab.montecarlo import Estimate, SplitMix64, estimate, sample_path, sample_run
-from lambdalab.strategies import StepCount, Strategy
+from lambdalab.montecarlo import Estimate, SplitMix64, estimate, sample_run
+from lambdalab.strategies import StepCount, Strategy, walk
 from lambdalab.terms import (
     SubCalculus,
     Var,
@@ -105,25 +106,41 @@ def test_estimate_rejects_bad_arguments():
         sample_run(EX1, HALF, 0, 0)
 
 
-# The jump table against the step-by-step oracle of tests/sampling_oracle.py.
-# Omega has a draw-free cycle, so every run of it is cut off, and I is normal.
-# The jump table finds classes off a run's path too, and the last term's
-# representatives get other names if sample_path reads them from that graph.
+# The jump table and the run walker against the step-by-step oracle of
+# tests/sampling_oracle.py.  Omega has a draw-free cycle, so every run of it
+# is cut off, and I is normal.  The last term revisits classes under other
+# binder names, which the walker prints as the actual reducts.
 ORACLE_TERMS = [EX1, EX2, mk_Mn(6), mk_Mn(20), mk_Omega(), mk_I()] + [
     entry.term for tag in SubCalculus for entry in random_corpus(tag, count=25, size_cap=40)
 ] + [parse("(\\v0.c (\\v1.\\v2.(\\v3.(\\v4.\\v5.v4) v3) v0 (\\v6.v6))) (a (\\v7.b))")]
 ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 5), Fraction(3, 7))
 
 
+def _walked(t, strategy, seed, max_steps):
+    """The canonical forms of one seeded walk, cut after max_steps steps."""
+    steps = islice(walk(t, strategy, SplitMix64(seed).below), max_steps + 1)
+    return [c for c, _ in steps]
+
+
+def _oracle_path(t, strategy, seed, max_steps):
+    sampler = oracle.Sampler(t, strategy)
+    return [sampler.graph.forms[i] for i in sampler.path(seed, max_steps)]
+
+
 @pytest.mark.parametrize("max_steps", (1, 2, 3, 7, 10_000))
 @pytest.mark.parametrize("eps", ORACLE_EPS, ids=str)
-def test_sampling_matches_step_by_step_oracle(eps, max_steps):
+def test_sampling_matches_step_by_step_oracle(monkeypatch, eps, max_steps):
     strategy = Strategy.peps(eps)
+    counts = _count_draws(monkeypatch)
     for t in ORACLE_TERMS:
         assert estimate(t, strategy, 40, 6, max_steps) == oracle.estimate(t, strategy, 40, 6, max_steps)
         for seed in (0, 5):
             assert sample_run(t, strategy, seed, max_steps) == oracle.sample_run(t, strategy, seed, max_steps)
-            assert sample_path(t, strategy, seed, max_steps) == oracle.sample_path(t, strategy, seed, max_steps)
+            seen = []
+            for run in (_walked, _oracle_path):
+                counts.update(below=0, next_u64=0)
+                seen.append((run(t, strategy, seed, max_steps), dict(counts)))
+            assert seen[0] == seen[1]
 
 
 def test_landing_walk_stops_at_the_budget(monkeypatch):
@@ -164,11 +181,13 @@ def test_draws_are_the_oracles(monkeypatch, t, max_steps):
     counts = _count_draws(monkeypatch)
     strategy = Strategy.peps(Fraction(3, 7))
     seen = []
-    for run in (lambda m: m.estimate(t, strategy, 5, 200, max_steps),
-                lambda m: m.sample_path(t, strategy, 9, max_steps)):
-        for module in (montecarlo, oracle):
-            counts.update(below=0, next_u64=0)
-            run(module)
-            seen.append(dict(counts))
+    for run in (lambda: estimate(t, strategy, 5, 200, max_steps),
+                lambda: oracle.estimate(t, strategy, 5, 200, max_steps),
+                lambda: _walked(t, strategy, 9, max_steps),
+                lambda: _oracle_path(t, strategy, 9, max_steps)):
+        counts.update(below=0, next_u64=0)
+        run()
+        seen.append(dict(counts))
     assert seen[0] == seen[1] and seen[2] == seen[3]
     assert seen[0]["below"] > 0 and seen[0]["next_u64"] > seen[0]["below"]
+    assert seen[2]["below"] > 0

@@ -194,9 +194,12 @@ def test_n_steps_fuel_boundary(term, strategy, n):
     assert n_steps(term, strategy, n - 1) == StepCount.exhausted(n - 1)
 
 
-@pytest.mark.parametrize("strategy, step", [("lo", step_lo), ("ri", step_ri)])
+@pytest.mark.parametrize(
+    "strategy, step",
+    [("lo", step_lo), ("ri", step_ri), ("peps:1/1", step_lo), ("peps:0/1", step_ri)],
+)
 def test_walk_yields_each_reduct_down_to_the_normal_form(strategy, step):
-    walked = list(walk(EX2, strategy))
+    walked = list(walk(EX2, Strategy.parse(strategy)))
     assert walked[0] == (canonicalize(EX2), None) and is_normal_canonical(walked[-1][0])
     u = EX2
     for c, path in walked[1:]:  # replaying each path gives the named step
@@ -206,8 +209,11 @@ def test_walk_yields_each_reduct_down_to_the_normal_form(strategy, step):
 
 
 def test_walk_rejects_a_mixture():
-    with pytest.raises(ValueError):
-        next(walk(EX1, "peps:1/2"))
+    # a mixture needs draws; n_steps never passes any
+    with pytest.raises(ValueError, match="peps:1/2"):
+        next(walk(EX1, Strategy.peps(Fraction(1, 2))))
+    with pytest.raises(ValueError, match="peps:1/2"):
+        n_steps(EX1, "peps:1/2")
 
 
 def test_foster_bound_values():
