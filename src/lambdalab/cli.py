@@ -85,34 +85,41 @@ def parse_grid(text: str) -> list[Fraction]:
     return sorted(set(grid))
 
 
+# the text of each scalar type the CLI's payloads hold, by exact type (a bool is not an int here)
+_SCALAR_TEXT = {str: _quote, int: repr, type(None): lambda _: "null"}
+
+
 def _json(obj, indent: str = "") -> str:
     """The text of json.dumps(obj, indent=2) for dicts with str keys, lists,
     str, int and None, the only types the CLI's payloads hold; any other
-    type raises TypeError.  indent is the prefix of obj's own line."""
+    type raises TypeError.  indent is the prefix of obj's own line.  A
+    scalar inside a dict or list is written in place, without a call of
+    _json of its own."""
     kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return repr(obj)
-    if obj is None:
-        return "null"
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(obj)
     inner = indent + "  "
+    items = []
     if kind is dict:
-        if not obj:
-            return "{}"
-        items = []
         for key, value in obj.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{_quote(key)}: {_json(value, inner)}")
+            scalar = _SCALAR_TEXT.get(type(value))
+            text = _json(value, inner) if scalar is None else scalar(value)
+            items.append(f"{_quote(key)}: {text}")
+        opening, closing = "{", "}"
     elif kind is list:
-        if not obj:
-            return "[]"
-        items = [_json(value, inner) for value in obj]
+        for value in obj:
+            scalar = _SCALAR_TEXT.get(type(value))
+            items.append(_json(value, inner) if scalar is None else scalar(value))
+        opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    opening, closing = ("{", "}") if kind is dict else ("[", "]")
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+    if not items:
+        return opening + closing
+    separator = ",\n" + inner
+    return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
 
 
 def _emit(text: str, out: Optional[str]) -> None:

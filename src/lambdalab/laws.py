@@ -106,19 +106,20 @@ class _Inconclusive(Exception):
     """A check ran out of fuel before it could decide."""
 
 
-Check = Callable[[StateGraph, int, Term], Optional[str]]  # None on pass, else the detail
+Check = Callable[[StateGraph, Term], Optional[str]]  # None on pass, else the detail
 
 
 def _check(report: LawReport, corpus: list[CorpusTerm], check: Check) -> LawReport:
     """Run check on every corpus term and record its verdict in report: a
     pass, a counterexample, or an inconclusive case when the check hit a
-    state cap or ran out of fuel.  Each term is interned once into the run's
-    one StateGraph, and check gets the graph, the term's class id and term."""
+    state cap or ran out of fuel.  check gets the run's one StateGraph and
+    the term; a check that works on class ids interns the term into the
+    graph itself, and one that never reads the graph leaves it alone."""
     graph = StateGraph()
     for entry in corpus:
         report.cases_run += 1
         try:
-            detail = check(graph, graph.intern(entry.term), entry.term)
+            detail = check(graph, entry.term)
         except (StateCapExceeded, _Inconclusive):
             report.inconclusive += 1
             continue
@@ -298,7 +299,8 @@ def law_lo_monotone(corpus: list[CorpusTerm], corpus_desc: str = "corpus") -> La
     whose LO reduction runs out of fuel is a counterexample.
     """
 
-    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+    def check(graph: StateGraph, t: Term) -> Optional[str]:
+        i = graph.intern(t)
         steps = _lo_steps(graph, i, DEFAULT_WN_FUEL)
         if steps is None:
             raise _Inconclusive
@@ -325,8 +327,8 @@ def law_anf_equal_length(corpus: list[CorpusTerm], corpus_desc: str = "corpus") 
     lengths 5 and 7, and each is reported as a counterexample.
     """
 
-    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
-        order = graph.closure(i, graph.anf, DEFAULT_GRAPH_CAP)
+    def check(graph: StateGraph, t: Term) -> Optional[str]:
+        order = graph.closure(graph.intern(t), graph.anf, DEFAULT_GRAPH_CAP)
         status, _, detail = _unique_length_to_nf(order, graph.anf)
         return None if status == "ok" else detail
 
@@ -341,7 +343,8 @@ def law_subcalculus_stability(corpora: dict[str, list[CorpusTerm]]) -> LawReport
     graph is finite and acyclic under the cap).
     """
 
-    def check_lambda_i(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+    def check_lambda_i(graph: StateGraph, t: Term) -> Optional[str]:
+        i = graph.intern(t)
         if classify_canonical(graph.forms[i]) not in LAMBDA_I_TAGS:
             return "corpus term is not lambda-I"
         fv = canonical_free_vars(graph.forms[i])
@@ -352,7 +355,8 @@ def law_subcalculus_stability(corpora: dict[str, list[CorpusTerm]]) -> LawReport
                 return f"reduct {render(_reduct(graph, i, t, j))} changed free variables"
         return None
 
-    def check_lambda_a(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+    def check_lambda_a(graph: StateGraph, t: Term) -> Optional[str]:
+        i = graph.intern(t)
         if classify_canonical(graph.forms[i]) not in LAMBDA_A_TAGS:
             return "corpus term is not lambda-A"
         for j in graph.beta(i):
@@ -373,7 +377,8 @@ def law_lambdaA_lo_optimal(
     """On lambda-A terms no reduction sequence to normal form is shorter
     than the LO one (exhaustive shortest path against N_LO)."""
 
-    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+    def check(graph: StateGraph, t: Term) -> Optional[str]:
+        i = graph.intern(t)
         steps = _lo_steps(graph, i, DEFAULT_WN_FUEL)
         if steps is None:
             raise _Inconclusive
@@ -401,7 +406,8 @@ def law_lambdaI_anf_optimal(
     is judged, so a cap hit on the full one leaves it inconclusive.
     """
 
-    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+    def check(graph: StateGraph, t: Term) -> Optional[str]:
+        i = graph.intern(t)
         anf_order = graph.closure(i, graph.anf, DEFAULT_GRAPH_CAP)
         full_order = graph.closure(i, graph.beta, DEFAULT_GRAPH_CAP)
         status, anf_len, detail = _unique_length_to_nf(anf_order, graph.anf)
@@ -435,7 +441,7 @@ def law_eps_minimum(
         raise ValueError(f"eps={minimum_at} is not a point of the grid")
     solve = solve or partial(grid_expected_lengths, grid=grid)
 
-    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
+    def check(graph: StateGraph, t: Term) -> Optional[str]:
         expected = {eps: e for eps, (_, e) in solve(t).items()}
         if any(e is None for e in expected.values()):
             divergent = ", ".join(str(eps) for eps in sorted(expected) if expected[eps] is None)
@@ -455,8 +461,8 @@ def law_foster(corpus: list[CorpusTerm], corpus_desc: str = "corpus", solve=None
     given, stands for grid_expected_lengths over a grid holding DEFAULT_GRID."""
     solve = solve or partial(grid_expected_lengths, grid=DEFAULT_GRID)
 
-    def check(graph: StateGraph, i: int, t: Term) -> Optional[str]:
-        n_lo = _lo_steps(graph, i, DEFAULT_WN_FUEL, WN_SIZE_GUARD)
+    def check(graph: StateGraph, t: Term) -> Optional[str]:
+        n_lo = _lo_steps(graph, graph.intern(t), DEFAULT_WN_FUEL, WN_SIZE_GUARD)
         if n_lo is None:
             raise _Inconclusive
         solved = solve(t)

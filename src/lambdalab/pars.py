@@ -129,12 +129,16 @@ class StateGraph:
         representative."""
         return self._id(canonicalize(t), t, None)
 
-    def rep(self, i: int) -> Term:
+    def rep(self, i: int, memo: Optional[dict] = None) -> Term:
         """The representative term of class i.
 
         A parent has a smaller id than the classes it finds, so the missing
         representatives on the way down from the nearest built ancestor are
-        built in id order, without recursion on the discovery depth.
+        built in id order, without recursion on the discovery depth.  With
+        a render memo (see terms.render), the ancestor is rendered with it
+        unless it was already, and each missing representative is built and
+        named in one walk by reduce_at, so memo then holds the text of
+        every node of the representative.
         """
         reps, parents = self._reps, self._parents
         missing = []
@@ -142,9 +146,11 @@ class StateGraph:
         while reps[j] is None:
             missing.append(j)
             j = parents[j][0]
+        if memo is not None and id(reps[j]) not in memo:
+            render(reps[j], memo)
         for j in reversed(missing):
             parent, path = parents[j]
-            reps[j] = reduce_at(reps[parent], path)
+            reps[j] = reduce_at(reps[parent], path, memo)
         return reps[i]
 
     def is_normal(self, i: int) -> bool:
@@ -445,28 +451,30 @@ class ChainAnalysis:
     def to_report(self) -> dict:
         """JSON-ready report: rendered states, num/den transition triples.
 
-        Every state is rendered with one memo: a representative shares
-        subterms with the parent it was contracted from, and the graph keeps
-        every representative alive while the memo is in use.  The CLI
-        builds its parser once per process and writes this report through
-        its one JSON emitter, cli._json.
+        Every state is named with one render memo: in discovery order each
+        representative is built from its parent's and rendered in the same
+        walk (StateGraph.rep), so a state's text is read from the memo, and
+        the graph keeps every representative alive while the memo is in
+        use.  Each distinct weight's num/den text is formatted once.  The
+        CLI builds its parser once per process and writes this report
+        through its one JSON emitter, cli._json.
         """
-        memo: dict = {}
+        graph, memo = self.graph, {}
         index = {i: n for n, i in enumerate(self.states)}
+        probs: dict = {}  # id of a weight -> its "num/den"; a row holds at most three
         transitions = []
-        for i in self.states:
+        for n, i in enumerate(self.states):
             for target, p in self.rows[i]:
-                transitions.append(
-                    {
-                        "from": index[i],
-                        "to": TRM if target == TRM else index[target],
-                        "prob": f"{p.numerator}/{p.denominator}",
-                    }
-                )
+                prob = probs.get(id(p))
+                if prob is None:
+                    prob = probs[id(p)] = f"{p.numerator}/{p.denominator}"
+                # every target but TRM is a state
+                transitions.append({"from": n, "to": index.get(target, TRM), "prob": prob})
         report = {
-            "origin": render(self.rep(self.origin), memo),
+            "origin": render(graph.rep(self.origin), memo),
             "strategy": self.strategy_name,
-            "states": [render(self.rep(i), memo) for i in self.states],
+            # a state is reducible, never a variable, so its text is in memo
+            "states": [memo[id(graph.rep(i, memo))] for i in self.states],
             "absorbing": TRM,
             "transitions": transitions,
         }
@@ -569,7 +577,8 @@ def _solve_rows(
     states: tuple, rows: dict, origin: int
 ) -> tuple[Fraction, Optional[Fraction]]:
     """Absorption probability at TRM from origin and, when it is 1, the
-    exact expected absorption time (None otherwise).
+    exact expected absorption time (None otherwise), both as Fractions in
+    lowest terms.
 
     Strongly connected components are solved as iter_sccs yields them,
     sinks first, with TRM as one more node without edges.  On one, the
@@ -577,14 +586,18 @@ def _solve_rows(
     component (or none leaves), 1 if it is 1 there, and below 1 throughout
     otherwise; one exact system, fed by the values solved downstream, then
     gives the expected time in the second case, the probability in the third.
+    Probabilities are kept as the ints 0 and 1 where they are exact, and
+    as Fractions only where they are partial; expected times as
+    (numerator, denominator) pairs in lowest terms.  Each distinct weight's
+    numerator and denominator are read once; a row holds at most three.
     A one-state component's system is the single equation x = b + loop x,
     with loop the weight of its self-loop, so it is solved as
-    x = b / (1 - loop) without elimination, in integers: b and 1 - loop as
-    numerator over denominator, reduced by one gcd into one Fraction.
+    x = b / (1 - loop) without elimination, in integers reduced by one gcd.
     Larger components that reach TRM do occur: the RI-successors of
     (\\w.c) ((\\x.x x) (\\y.y (\\z.y z))) alternate between two classes
     that every LO step leaves for a normal form, so for 0 < eps < 1 its
-    chain has a 2-state component, solved by elimination, and E = 1/eps.
+    chain has a 2-state component, solved by elimination over Fractions,
+    and E = 1/eps.
     """
     if not states:
         return Fraction(1), Fraction(0)  # the origin itself is normal
@@ -593,52 +606,59 @@ def _solve_rows(
     index[TRM] = n  # node n has no edges: absorbed with probability 1 in 0 steps
     out = [rows[i] for i in states]
     targets = [[index[target] for target, _ in row] for row in out] + [[]]
-    h = [None] * n + [_ONE]  # absorption probability
-    k = [None] * n + [_ZERO]  # expected absorption time where h == 1
+    ratios: dict = {}  # id of a weight -> (numerator, denominator)
+    h: list = [None] * n + [1]  # absorption probability: 0, 1 or a partial Fraction
+    k: list = [None] * n + [(0, 1)]  # expected absorption time where h == 1, as a pair
     for component in iter_sccs(targets):
         if component[0] == n:
             continue  # TRM, solved in advance
         # one state is its own membership test; a larger component maps states to rows
         pos = component if len(component) == 1 else {i: r for r, i in enumerate(component)}
-        reaches, sure = False, True  # some exit has h > 0; every exit has h == 1
-        for i in component:
-            for j in targets[i]:
-                if j not in pos:  # 0 <= h[j] <= 1, so numerator and denominator decide
-                    reaches = reaches or h[j].numerator != 0
-                    sure = sure and h[j].numerator == h[j].denominator
-        if not reaches:
+        exits = [h[j] for i in component for j in targets[i] if j not in pos]
+        if exits.count(0) == len(exits):  # no exit reaches TRM, or none leaves
             for i in component:
-                h[i] = _ZERO
+                h[i] = 0
             continue
-        downstream = k if sure else h
+        sure = exits.count(1) == len(exits)
         if len(component) == 1:
             (i,) = component
             num, den, rest, whole = int(sure), 1, 1, 1  # b = num/den, 1 - loop = rest/whole
             for j, (_, p) in zip(targets[i], out[i]):
+                ratio = ratios.get(id(p))
+                if ratio is None:
+                    ratio = ratios[id(p)] = (p.numerator, p.denominator)
+                pn, pd = ratio
                 if j == i:
-                    rest, whole = p.denominator - p.numerator, p.denominator
+                    rest, whole = pd - pn, pd
                 else:
-                    x = downstream[j]
-                    scale = p.denominator * x.denominator
-                    num = num * scale + den * p.numerator * x.numerator
+                    xn, xd = k[j] if sure else (h[j].numerator, h[j].denominator)
+                    scale = pd * xd
+                    num = num * scale + den * pn * xn
                     den *= scale
-            xs = [Fraction(num * whole, den * rest)]  # one gcd reduces it
-        else:
-            matrix = [[0] * len(component) for _ in component]
-            rhs = []
-            for r, i in enumerate(component):
-                matrix[r][r] = 1
-                b = _ONE if sure else _ZERO
-                for j, (_, p) in zip(targets[i], out[i]):
-                    if j in pos:
-                        matrix[r][pos[j]] -= p
-                    else:
-                        b += p * downstream[j]
-                rhs.append(b)
-            xs = _solve_linear(matrix, rhs)
-        for i, x in zip(component, xs):
-            h[i], k[i] = (_ONE, x) if sure else (x, None)
-    return h[index[origin]], k[index[origin]]
+            num, den = num * whole, den * rest
+            g = gcd(num, den)
+            if sure:
+                h[i], k[i] = 1, (num // g, den // g)
+            else:
+                h[i] = _coprime(num // g, den // g)
+            continue
+        matrix = [[0] * len(component) for _ in component]
+        rhs = []
+        for r, i in enumerate(component):
+            matrix[r][r] = 1
+            b = _ONE if sure else _ZERO
+            for j, (_, p) in zip(targets[i], out[i]):
+                if j in pos:
+                    matrix[r][pos[j]] -= p
+                else:
+                    b += p * (_coprime(*k[j]) if sure else h[j])
+            rhs.append(b)
+        for i, x in zip(component, _solve_linear(matrix, rhs)):
+            h[i], k[i] = (1, (x.numerator, x.denominator)) if sure else (x, None)
+    termination = h[index[origin]]
+    if termination == 1:
+        return _ONE, _coprime(*k[index[origin]])
+    return (_ZERO if termination == 0 else termination), None
 
 
 def solve_expected_length(chain: ChainAnalysis) -> ChainAnalysis:

@@ -271,14 +271,24 @@ def render(t: Term, memo: Optional[dict] = None) -> str:
         if text is not None:
             return text
     if isinstance(t, Abs):
-        text = f"\\{t.binder}.{render(t.body, memo)}"
+        text = _compose(t, render(t.body, memo))
     else:
-        fn = f"({render(t.fn, memo)})" if isinstance(t.fn, Abs) else render(t.fn, memo)
-        arg = render(t.arg, memo) if isinstance(t.arg, Var) else f"({render(t.arg, memo)})"
-        text = f"{fn} {arg}"
+        text = _compose(t, render(t.fn, memo), render(t.arg, memo))
     if memo is not None:
         memo[id(t)] = text
     return text
+
+
+def _compose(t: Term, left: str, right: str = "") -> str:
+    """The text of abstraction or application t from its children's: left
+    is the body's or the function's, right the argument's.  This is the
+    minimal-parentheses rule: a function that is an abstraction and an
+    argument that is not a variable are parenthesised."""
+    if isinstance(t, Abs):
+        return f"\\{t.binder}.{left}"
+    if isinstance(t.fn, Abs):
+        left = f"({left})"
+    return f"{left} {right}" if isinstance(t.arg, Var) else f"{left} ({right})"
 
 
 def term_size(t: Term) -> int:
@@ -444,24 +454,35 @@ def _descend(t: Term, path: RedexPath) -> list[Term]:
     return nodes
 
 
-def reduce_at(t: Term, path: RedexPath) -> Term:
+def reduce_at(t: Term, path: RedexPath, memo: Optional[dict] = None) -> Term:
     """Contract the redex addressed by path; everything else is untouched.
 
     The nodes above the redex are rebuilt bottom-up, without recursion on
-    the length of the path.
+    the length of the path.  memo, when given, is a render memo holding the
+    text of every abstraction and application of t: the contracted redex's
+    reduct is rendered with it, and each rebuilt node's text is composed
+    from its children's as the node is built, so afterwards memo holds the
+    text of every node of the result too.
     """
     nodes = _descend(t, path)
     redex = nodes.pop()
     if not (isinstance(redex, App) and isinstance(redex.fn, Abs)):
         raise InvalidPath("path does not address a beta-redex")
     new = substitute(redex.fn.body, redex.fn.binder, redex.arg)
+    text = None if memo is None else render(new, memo)
     for node, step in zip(reversed(nodes), reversed(path)):
-        if step == INTO_FN:
-            new = App(new, node.arg)
-        elif step == INTO_ARG:
-            new = App(node.fn, new)
-        else:
+        if step == INTO_BODY:
             new = Abs(node.binder, new)
+            if memo is not None:
+                text = memo[id(new)] = _compose(new, text)
+            continue
+        into_fn = step == INTO_FN
+        sibling = node.arg if into_fn else node.fn
+        new = App(new, sibling) if into_fn else App(sibling, new)
+        if memo is not None:  # the untouched sibling's text is in memo with all of t's
+            known = sibling.name if isinstance(sibling, Var) else memo[id(sibling)]
+            left, right = (text, known) if into_fn else (known, text)
+            text = memo[id(new)] = _compose(new, left, right)
     return new
 
 

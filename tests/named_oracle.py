@@ -7,13 +7,16 @@ contract_canonical, reducts_canonical and StateGraph.beta/anf from
 outside.  alpha_eq decides alpha-equivalence by pairing binders, without
 canonical forms, and so checks canonicalize.  is_lambda_I, is_lambda_A and
 classify count each binder's occurrences by name, rescanning every
-abstraction body, and so check terms.classify_canonical.
+abstraction body, and so check terms.classify_canonical.  explore_eagerly
+names every state of a chain by contracting its parent's named term, so
+it checks how pars.StateGraph and ChainAnalysis.to_report name states.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from lambdalab.pars import TRM
 from lambdalab.terms import (
     INTO_ARG,
     INTO_BODY,
@@ -29,6 +32,7 @@ from lambdalab.terms import (
     is_normal_form,
     redexes,
     reduce_at,
+    render,
 )
 
 
@@ -147,3 +151,33 @@ def classify(t: Term) -> SubCalculus:
     if a:
         return SubCalculus.LAMBDA_A
     return SubCalculus.FULL
+
+
+def explore_eagerly(t: Term, eps, state_cap: int):
+    """pars.explore_states by named reducts, each canonicalised: (states,
+    rendered representatives, rows), or None past the state cap.  The first
+    term found for a class, LO-reduct before RI-reduct, represents it: its
+    parent's representative contracted by reduce_at, rendered afresh."""
+    origin = canonicalize(t)
+    if is_normal_form(t):
+        return (), [], {}
+    reps = {origin: t}
+    order, seen, rows = [origin], {origin}, {}
+    for c in order:  # order grows while it is walked
+        u = reps[c]
+        paths = redexes(u)
+        row = {}
+        for v, p in ((reduce_at(u, paths[0]), eps), (reduce_at(u, paths[-1]), 1 - eps)):
+            if p != 0:
+                d = canonicalize(v)
+                reps.setdefault(d, v)
+                key = TRM if is_normal_form(v) else d
+                row[key] = row.get(key, 0) + p
+        rows[c] = tuple(row.items())
+        for key in row:
+            if key != TRM and key not in seen:
+                if len(order) >= state_cap:
+                    return None
+                seen.add(key)
+                order.append(key)
+    return tuple(order), [render(reps[c]) for c in order], rows

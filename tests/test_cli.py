@@ -601,16 +601,23 @@ def test_analyze_matches_golden_digest(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_GOLDEN_DIGESTS[argv]
 
 
-MORE_ANALYZE_GOLDEN_DIGESTS = {  # SHA-256 of stdout: a chain_mn and a chain_dup job
+MORE_ANALYZE_GOLDEN_DIGESTS = {  # SHA-256 of stdout: chain_mn and chain_dup jobs, and two more
     ("analyze", "Mn:9", "--eps", "3/7", "--format", "json"):
         "e91db9059a5a260a1070399153c8de0d668b95d8aa68cf93fbfc2e4f463e6c6d",
     ("analyze", "(\\x.x x x x x x x x) ((\\z.z) ((\\z.z) ((\\z.z) (y))))", "--eps", "4/7",
      "--format", "json"):
         "240bbb2945c0a02127bcfca86f09501f244a3d0fc98a041e0ffbab784ea925e1",
+    # states whose binders substitution renames (y1), and the 2-state component
+    ("analyze", "(\\f.\\y.f (f y)) (\\x.\\y.x y)", "--eps", "1/3", "--format", "json"):
+        "39bf01a2ab291a339eaa691a990513fc4bc93ace320bed5d5436d2648a275688",
+    ("analyze", "(\\w.c) ((\\x.x x) (\\y.y (\\z.y z)))", "--eps", "2/7", "--format", "json"):
+        "cad918260adaf1ef85763eb9483fc335b492868204b397541aafc5a3788dccdb",
 }
 
 
-@pytest.mark.parametrize("argv", MORE_ANALYZE_GOLDEN_DIGESTS, ids=["mn", "dup"])
+@pytest.mark.parametrize(
+    "argv", MORE_ANALYZE_GOLDEN_DIGESTS, ids=["mn", "dup", "renaming", "multi-state"]
+)
 def test_more_analyze_matches_golden_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK

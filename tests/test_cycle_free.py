@@ -63,12 +63,18 @@ def test_guard_flags_self_and_mutual_recursion(tmp_path):
     "argv",
     [
         ("analyze", r"(\x.x x) ((\y.y) z)", "--eps", "1/3"),
+        ("analyze", r"(\x.x x x x x x x x) ((\z.z) ((\z.z) ((\z.z) y)))", "--eps", "4/7",
+         "--format", "json"),
+        ("analyze", r"(\w.c) ((\x.x x) (\y.y (\z.y z)))", "--eps", "2/7"),
         ("montecarlo", "example2", "--eps", "1/2"),
         ("reduce", "Mn:3", "--strategy", "peps:1/2"),
         ("sweep", "Mn:3"),
         ("laws", "--suite", "core", "--count", "20"),
     ],
-    ids=["analyze-literal", "montecarlo", "reduce-peps", "sweep", "laws-core"],
+    ids=[
+        "analyze-literal", "analyze-dup-json", "analyze-multi-state", "montecarlo", "reduce-peps",
+        "sweep", "laws-core",
+    ],
 )
 def test_cli_run_leaves_no_cyclic_garbage(capsys, argv):
     cli.build_parser()  # built once per process; argparse's own cycles are made here

@@ -324,6 +324,30 @@ def test_self_loop_reduct_is_the_term_itself():
     assert laws._reduct(graph, i, omega, i) is omega
 
 
+def test_eps_minimum_canonicalises_only_for_its_solves_and_wn_certificates(monkeypatch):
+    # its check reads solve(t) alone, so no corpus term is interned for it
+    corpora = default_corpora()
+    counts = {"canonicalize": 0, "grid_expected_lengths": 0, "lo_normalizes": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(pars, "canonicalize")  # every StateGraph.intern
+    counting(laws, "grid_expected_lengths")  # one intern per distinct term solved
+    counting(laws, "lo_normalizes")  # one intern per lambda-I term certified WN
+    reports = run_suite("eps_minimum", corpora=corpora)
+    assert all(r.passed for r in reports)
+    assert counts["canonicalize"] == counts["grid_expected_lengths"] + counts["lo_normalizes"]
+    # the interns saved: one per corpus entry checked, 410 on the default corpora
+    assert sum(r.cases_run for r in reports) == 410
+
+
 def test_run_suite_single_law(small_corpora):
     reports = run_suite("eps_minimum", corpora=small_corpora, count=40)
     assert [r.law_id for r in reports] == ["eps_minimum_at_1", "eps_minimum_at_0"]

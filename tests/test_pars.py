@@ -48,7 +48,7 @@ from conftest import terms
 from chain_oracle import chain_derivation_lengths
 from dense_solver import solve_rows_dense
 from evolution_oracle import Configuration, evolve
-from named_oracle import anf_successors, beta_successors
+from named_oracle import anf_successors, beta_successors, explore_eagerly
 
 I = mk_I()
 EX1 = mk_example1()
@@ -341,42 +341,13 @@ def test_explore_states_normal_origin():
     assert chain.states == ()
 
 
-def _explore_eagerly(t, eps, state_cap):
-    """explore_states by named reducts, each canonicalised: (states,
-    rendered representatives, rows), or None past the state cap.  The first
-    term found for a class, LO-reduct before RI-reduct, represents it."""
-    origin = canonicalize(t)
-    if is_normal_form(t):
-        return (), [], {}
-    reps = {origin: t}
-    order, seen, rows = [origin], {origin}, {}
-    for c in order:  # order grows while it is walked
-        u = reps[c]
-        paths = redexes(u)
-        row = {}
-        for v, p in ((reduce_at(u, paths[0]), eps), (reduce_at(u, paths[-1]), 1 - eps)):
-            if p != 0:
-                d = canonicalize(v)
-                reps.setdefault(d, v)
-                key = TRM if is_normal_form(v) else d
-                row[key] = row.get(key, 0) + p
-        rows[c] = tuple(row.items())
-        for key in row:
-            if key != TRM and key not in seen:
-                if len(order) >= state_cap:
-                    return None
-                seen.add(key)
-                order.append(key)
-    return tuple(order), [render(reps[c]) for c in order], rows
-
-
 # 1/2 is the eps grid_expected_lengths explores at
 EXPLORE_ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7))
 
 
 def _assert_explore_matches_eager_oracle(t):
     for eps in EXPLORE_ORACLE_EPS:
-        expected = _explore_eagerly(t, eps, 200)
+        expected = explore_eagerly(t, eps, 200)
         try:
             chain = explore_states(t, Strategy.peps(eps), state_cap=200)
         except StateCapExceeded:
@@ -412,6 +383,44 @@ def test_explore_matches_eager_oracle_on_anchor_terms(entry):
 ])
 def test_explore_matches_eager_oracle_on_capture_prone_terms(literal):
     _assert_explore_matches_eager_oracle(parse(literal))
+
+
+def _assert_report_names_states_as_the_oracle(t):
+    """to_report, which builds and names each state in one walk, prints the
+    states as the named oracle does: each class's first-found reduct,
+    contracted from its parent's by reduce_at and rendered afresh."""
+    for eps in EXPLORE_ORACLE_EPS:
+        expected = explore_eagerly(t, eps, 200)
+        try:
+            chain = analyze(t, Strategy.peps(eps), state_cap=200)
+        except StateCapExceeded:
+            assert expected is None
+            continue
+        report = chain.to_report()  # no representative is built before it
+        assert report["origin"] == render(t)
+        assert report["states"] == expected[1]
+
+
+@given(terms)
+@settings(max_examples=100, deadline=None)
+def test_report_names_states_as_the_oracle_on_hypothesis_terms(t):
+    _assert_report_names_states_as_the_oracle(t)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(list(SubCalculus)))
+@settings(max_examples=100, deadline=None)
+def test_report_names_states_as_the_oracle_on_random_terms(seed, tag):
+    _assert_report_names_states_as_the_oracle(random_term(seed, 40, tag))
+
+
+@pytest.mark.parametrize("literal", [
+    "(\\f.\\y.f (f y)) (\\x.\\y.x y)",  # reducts rename the binder y to y1
+    "\\y.(\\x.\\y.x y) ((\\w.w) y) ((\\z.z) y)",
+    "(\\x.x x) (\\y.\\z.(\\x.\\z.x z) z)",
+    "(\\w.c) ((\\x.x x) (\\y.y (\\z.y z)))",  # a 2-state component
+])
+def test_report_names_states_as_the_oracle_on_renaming_terms(literal):
+    _assert_report_names_states_as_the_oracle(parse(literal))
 
 
 def _assert_explored_rows_are_chain_rows(t):
@@ -499,9 +508,9 @@ def test_law_closure_builds_no_representative(monkeypatch, edges, t):
     reduce_at = pars.reduce_at
     calls = []
 
-    def counting(t, path):
+    def counting(t, path, memo=None):
         calls.append(path)
-        return reduce_at(t, path)
+        return reduce_at(t, path, memo)
 
     monkeypatch.setattr(pars, "reduce_at", counting)
     graph = StateGraph()
@@ -516,18 +525,27 @@ def test_law_closure_builds_no_representative(monkeypatch, edges, t):
 
 
 def test_analyze_builds_no_representative(monkeypatch):
-    reduce_at = pars.reduce_at
-    calls = []
+    # reduce_at builds every representative, and with a memo it names it too
+    reduce_at, render = pars.reduce_at, pars.render
+    built, rendered = [], []
 
-    def counting(t, path):
-        calls.append(path)
-        return reduce_at(t, path)
+    def building(t, path, memo=None):
+        built.append(memo is not None)
+        return reduce_at(t, path, memo)
 
-    monkeypatch.setattr(pars, "reduce_at", counting)
+    def rendering(t, memo=None):
+        rendered.append(t)
+        return render(t, memo)
+
+    monkeypatch.setattr(pars, "reduce_at", building)
+    monkeypatch.setattr(pars, "render", rendering)
     chain = analyze(mk_Mn(20), Strategy.peps(Fraction(1, 3)))
-    assert calls == []
-    chain.to_report()  # rendering the states builds their representatives
-    assert len(calls) == len(chain.states) - 1
+    assert built == [] and rendered == []
+    report = chain.to_report()  # naming the states builds their representatives
+    assert built == [True] * (len(chain.states) - 1)
+    # only the origin is rendered apart; each other state is named as it is built
+    assert rendered == [chain.rep(chain.origin)]
+    assert report["states"] == [render(chain.rep(i)) for i in chain.states]
 
 
 @pytest.mark.parametrize(
@@ -607,6 +625,16 @@ def test_multi_state_component_is_solved_by_elimination(monkeypatch, eps):
     est = estimate(MULTI_STATE, Strategy.peps(eps), base_seed=7, n=2000, max_steps=2000)
     assert est.cutoff_count == 0
     assert abs(est.mean - float(1 / eps)) <= 3 * est.confidence_halfwidth_95
+
+
+def test_multi_state_component_gives_one_over_eps_through_grid_and_analyze():
+    grid = (Fraction(1, 3), Fraction(2, 7), Fraction(1, 2))
+    solved = grid_expected_lengths(MULTI_STATE, grid)
+    for eps in grid:
+        chain = analyze(MULTI_STATE, Strategy.peps(eps))
+        want = _exact((Fraction(1), 1 / eps))
+        assert _exact(solved[eps]) == want
+        assert _exact((chain.termination_prob, chain.expected_length)) == want
 
 
 def test_multi_state_component_never_terminates_under_ri():
@@ -775,7 +803,16 @@ def _assert_matches_dense_oracle(t):
         except StateCapExceeded:
             continue
         args = (chain.states, chain.rows, chain.origin)
-        assert _solve_rows(*args) == solve_rows_dense(*args)
+        assert _exact(_solve_rows(*args)) == _exact(solve_rows_dense(*args))
+
+
+def _exact(solved):
+    """(termination, expected) by type, numerator and denominator, so that
+    an int, or a Fraction that is not in lowest terms, does not pass for
+    an equal Fraction."""
+    return tuple(
+        None if x is None else (type(x), x.numerator, x.denominator) for x in solved
+    )
 
 
 @given(
@@ -833,7 +870,10 @@ def _synthetic_chain(spec):
 def test_solver_matches_dense_oracle_on_synthetic_chains(spec):
     states, rows = _synthetic_chain(spec)
     for origin in states:
-        assert _solve_rows(states, rows, origin) == solve_rows_dense(states, rows, origin)
+        termination, expected = solved = _solve_rows(states, rows, origin)
+        assert _exact(solved) == _exact(solve_rows_dense(states, rows, origin))
+        assert type(termination) is Fraction  # never the int 0 or 1
+        assert expected is None or type(expected) is Fraction
 
 
 # ---------------------------------------------------------------------------
