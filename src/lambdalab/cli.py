@@ -162,11 +162,7 @@ def cmd_reduce(args) -> int:
 def cmd_analyze(args) -> int:
     term_id, t = resolve_term(args.term)
     eps = parse_probability(args.eps)
-    try:
-        chain = analyze(t, Strategy.peps(eps), args.state_cap)
-    except StateCapExceeded as exc:
-        _emit(f"inconclusive: {exc}\n", args.out)
-        return EXIT_INCONCLUSIVE
+    chain = analyze(t, Strategy.peps(eps), args.state_cap)
     report = chain.to_report()
     report["term_id"] = term_id
     report["expected_length_decimal"] = fraction_to_decimal(chain.expected_length)
@@ -240,11 +236,7 @@ def sweep_rows(term_id: str, t: Term, grid, fuel: int, state_cap: int) -> list[d
 def cmd_sweep(args) -> int:
     term_id, t = resolve_term(args.term)
     grid = parse_grid(args.grid)
-    try:
-        rows = sweep_rows(term_id, t, grid, args.fuel, args.state_cap)
-    except StateCapExceeded as exc:
-        _emit(f"inconclusive: {exc}\n", args.out)
-        return EXIT_INCONCLUSIVE
+    rows = sweep_rows(term_id, t, grid, args.fuel, args.state_cap)
     if args.format == "csv":
         lines = [CSV_HEADER] + [",".join(map(str, r.values())) for r in rows]
     elif args.format == "json":
@@ -406,7 +398,11 @@ def main(argv=None) -> int:
             if value < least:
                 flag = "--" + dest.replace("_", "-")
                 raise ValueError(f"{flag} must be >= {least}, got {value}")
-        return args.func(args)
+        try:
+            return args.func(args)
+        except StateCapExceeded as exc:  # analyze and sweep explore the chain
+            _emit(f"inconclusive: {exc}\n", args.out)
+            return EXIT_INCONCLUSIVE
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"lambdalab: error: {exc}\n")
         return EXIT_USAGE

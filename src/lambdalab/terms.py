@@ -360,49 +360,49 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}{k}"
 
 
-def _rename_free(t: Term, old: str, new: str) -> Term:
-    # precondition: new does not occur anywhere in t
-    if isinstance(t, Var):
-        return Var(new) if t.name == old else t
-    if isinstance(t, Abs):
-        if t.binder == old:
-            return t
-        return Abs(t.binder, _rename_free(t.body, old, new))
-    return App(_rename_free(t.fn, old, new), _rename_free(t.arg, old, new))
-
-
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution body{replacement/var}.
 
     Binders that would capture a free variable of the replacement are
     renamed with a deterministic counter, so repeated calls on equal inputs
-    give identical results.
+    give identical results.  Every subterm left unchanged is returned as the
+    same object.
     """
-    fv_rep = free_vars(replacement)
-    taken = _all_names(body) | fv_rep | {var}
-    return _substitute(body, var, replacement, fv_rep, taken)
+    return _substitute(body, {var: replacement}, var, [body])
 
 
-def _substitute(t: Term, var: str, replacement: Term, fv_rep: set, taken: set) -> Term:
-    """t{replacement/var}, where fv_rep holds replacement's free variables
-    and taken every name in use, which grows by each fresh binder made."""
+def _substitute(t: Term, subst: dict, var: str, scope: list) -> Term:
+    """t with each free variable that subst maps replaced, in one walk:
+    subst maps var to the replacement and each binder renamed above t to
+    its fresh variable.  scope starts as [body], the whole body; the first
+    abstraction entered under var appends the replacement's free variables,
+    and the first rename appends every name in use, which grows by each
+    fresh binder made."""
     if isinstance(t, Var):
-        return replacement if t.name == var else t
+        return subst.get(t.name, t)
     if isinstance(t, App):
-        return App(
-            _substitute(t.fn, var, replacement, fv_rep, taken),
-            _substitute(t.arg, var, replacement, fv_rep, taken),
-        )
-    if t.binder == var:
+        fn = _substitute(t.fn, subst, var, scope)
+        arg = _substitute(t.arg, subst, var, scope)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    binder = t.binder
+    if binder in subst:  # shadowed below this binder
+        subst = {k: v for k, v in subst.items() if k != binder}
+    if var in subst:
+        if len(scope) == 1:
+            scope.append(free_vars(subst[var]))
+        if binder in scope[1]:  # the binder would capture, if var occurs in its body
+            if var in free_vars(t.body):
+                if len(scope) == 2:
+                    scope.append(_all_names(scope[0]) | scope[1] | {var})
+                fresh = _fresh_name(binder, scope[2])
+                scope[2].add(fresh)
+                body = _substitute(t.body, {**subst, binder: Var(fresh)}, var, scope)
+                return Abs(fresh, body)
+            subst = {k: v for k, v in subst.items() if k != var}
+    if not subst:
         return t
-    if var not in free_vars(t.body):
-        return t
-    if t.binder in fv_rep:
-        fresh = _fresh_name(t.binder, taken)
-        taken.add(fresh)
-        renamed = _rename_free(t.body, t.binder, fresh)
-        return Abs(fresh, _substitute(renamed, var, replacement, fv_rep, taken))
-    return Abs(t.binder, _substitute(t.body, var, replacement, fv_rep, taken))
+    body = _substitute(t.body, subst, var, scope)
+    return t if body is t.body else Abs(binder, body)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ classify count each binder's occurrences by name, rescanning every
 abstraction body, and so check terms.classify_canonical.  explore_eagerly
 names every state of a chain by contracting its parent's named term, so
 it checks how pars.StateGraph and ChainAnalysis.to_report name states.
+substitute is terms.substitute as it was before its one-walk rewrite: all
+names and the replacement's free variables up front, a free-variable scan
+at every abstraction and a second pass over a renamed body, so it checks
+the one walk's results and fresh names.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ from lambdalab.terms import (
     SubCalculus,
     Term,
     Var,
+    _all_names,
+    _fresh_name,
     canonicalize,
+    free_vars,
     is_normal_form,
     redexes,
     reduce_at,
@@ -58,6 +65,43 @@ def alpha_eq(t: Term, u: Term) -> bool:
         return False
 
     return go(t, u, {}, {}, 0)
+
+
+def substitute(body: Term, var: str, replacement: Term) -> Term:
+    """body{replacement/var}, renaming each binder that would capture a
+    free variable of the replacement with the deterministic counter of
+    terms.substitute."""
+    fv_rep = free_vars(replacement)
+    taken = _all_names(body) | fv_rep | {var}
+    return _substitute(body, var, replacement, fv_rep, taken)
+
+
+def _substitute(t: Term, var: str, replacement: Term, fv_rep: set, taken: set) -> Term:
+    if isinstance(t, Var):
+        return replacement if t.name == var else t
+    if isinstance(t, App):
+        return App(
+            _substitute(t.fn, var, replacement, fv_rep, taken),
+            _substitute(t.arg, var, replacement, fv_rep, taken),
+        )
+    if t.binder == var or var not in free_vars(t.body):
+        return t
+    if t.binder in fv_rep:
+        fresh = _fresh_name(t.binder, taken)
+        taken.add(fresh)
+        renamed = _rename_free(t.body, t.binder, fresh)
+        return Abs(fresh, _substitute(renamed, var, replacement, fv_rep, taken))
+    return Abs(t.binder, _substitute(t.body, var, replacement, fv_rep, taken))
+
+
+def _rename_free(t: Term, old: str, new: str) -> Term:
+    """t with its free occurrences of old renamed to new, which occurs
+    nowhere in t."""
+    if isinstance(t, Var):
+        return Var(new) if t.name == old else t
+    if isinstance(t, Abs):
+        return t if t.binder == old else Abs(t.binder, _rename_free(t.body, old, new))
+    return App(_rename_free(t.fn, old, new), _rename_free(t.arg, old, new))
 
 
 def subterm_at(t: Term, path: RedexPath) -> Term:

@@ -5,9 +5,12 @@ and asserts the criterion at its stated tolerance; exact-equality checks
 use rationals end to end.  Shared corpora are built once per session.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from lambdalab import laws, repro
+from lambdalab.pars import EvolutionTrace
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,20 @@ def test_criterion_08_core_law_suite(corpora):
 
 def test_criterion_09_evolution_semantics():
     _check(repro.criterion_9())
+
+
+def test_criterion_09_reports_a_rising_mass(monkeypatch):
+    # masses 1, 1/2, 3/4 over d = 2: the second drop is -1/4, yet the drops
+    # and the trailing mass still sum to 1, so only monotonicity fails
+    rising = EvolutionTrace(
+        masses=(Fraction(1), Fraction(1, 2), Fraction(3, 4)),
+        unreduced=((1, 0), (1, 1), (3, 2)), base=2, powers=(1, 2, 4),
+    )
+    monkeypatch.setattr(repro, "evolve_trace", lambda t, strategy, horizon: rising)
+    result = repro.criterion_9()
+    assert not result.passed
+    assert "masses increased" in result.detail
+    assert "mass not conserved" not in result.detail
 
 
 def test_criterion_10_monte_carlo_consistency():

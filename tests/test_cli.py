@@ -238,6 +238,30 @@ def test_analyze_state_cap_inconclusive(capsys):
     assert "inconclusive" in out
 
 
+# analyze and sweep share main's one handler for a chain past its state cap
+CAPPED_CHAINS = [("analyze", "Mn:3", "--eps", "1/2", "--state-cap", "2"),
+                 ("sweep", "Mn:3", "--state-cap", "2")]
+CAPPED_LINE = "inconclusive: more than 2 states reachable (saw 3)\n"
+
+
+def test_sweep_state_cap_inconclusive(capsys):
+    assert run_cli(capsys, "sweep", "Mn:3", "--state-cap", "2") == (EXIT_INCONCLUSIVE, CAPPED_LINE)
+
+
+@pytest.mark.parametrize("argv", CAPPED_CHAINS, ids=lambda argv: argv[0])
+def test_capped_chain_line_goes_to_out(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == CAPPED_LINE
+
+
+@pytest.mark.parametrize("argv", CAPPED_CHAINS, ids=lambda argv: argv[0])
+def test_capped_chain_with_unwritable_out_exits_3(tmp_path, capsys, argv):
+    target = tmp_path / "nonexistent" / "dir" / "x"
+    _assert_one_line_usage_error(main([*argv, "--out", str(target)]), capsys)
+
+
 def test_analyze_rejects_decimal_eps(capsys):
     code = main(["analyze", "example1", "--eps", "0.5"])
     assert code == EXIT_USAGE

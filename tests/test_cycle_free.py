@@ -66,14 +66,15 @@ def test_guard_flags_self_and_mutual_recursion(tmp_path):
         ("analyze", r"(\x.x x x x x x x x) ((\z.z) ((\z.z) ((\z.z) y)))", "--eps", "4/7",
          "--format", "json"),
         ("analyze", r"(\w.c) ((\x.x x) (\y.y (\z.y z)))", "--eps", "2/7"),
+        ("analyze", r"(\f.\y.f (f y)) (\x.\y.x y)", "--eps", "1/2"),  # renames y to y1
         ("montecarlo", "example2", "--eps", "1/2"),
         ("reduce", "Mn:3", "--strategy", "peps:1/2"),
         ("sweep", "Mn:3"),
         ("laws", "--suite", "core", "--count", "20"),
     ],
     ids=[
-        "analyze-literal", "analyze-dup-json", "analyze-multi-state", "montecarlo", "reduce-peps",
-        "sweep", "laws-core",
+        "analyze-literal", "analyze-dup-json", "analyze-multi-state", "analyze-renaming",
+        "montecarlo", "reduce-peps", "sweep", "laws-core",
     ],
 )
 def test_cli_run_leaves_no_cyclic_garbage(capsys, argv):

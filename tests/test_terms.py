@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from lambdalab import terms as terms_module
 from lambdalab.laws import anchor_corpus
 from lambdalab.terms import (
     Abs,
@@ -173,6 +174,91 @@ def test_substitute_deterministic():
     a = substitute(Abs("y", Var("x")), "x", Var("y"))
     b = substitute(Abs("y", Var("x")), "x", Var("y"))
     assert a == b
+
+
+# one pool for bodies, replacements and the variable, with the names that
+# renaming makes fresh, so binders capture and fresh names collide
+_substitution_names = st.sampled_from(["x", "y", "z", "y1", "z1"])
+_substitution_terms = st.recursive(
+    st.builds(Var, _substitution_names),
+    lambda children: st.one_of(
+        st.builds(Abs, _substitution_names, children),
+        st.builds(App, children, children),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_substitution_terms, _substitution_names, _substitution_terms)
+@settings(max_examples=500)
+def test_substitute_matches_the_two_walk_oracle(body, var, replacement):
+    # == on named terms, so the fresh binder names must agree too
+    assert substitute(body, var, replacement) == named_oracle.substitute(body, var, replacement)
+
+
+# terms whose reducts rename binders, pinned in test_pars.py and test_cli.py
+CAPTURE_RENAMING_TERMS = [
+    "(\\x.\\y.x y) ((\\z.y z) y)",
+    "(\\f.\\y.f (f y)) (\\x.(\\z.x y) x)",
+    "(\\f.\\y.f (f y)) (\\x.\\y.x y)",
+    "\\y.(\\x.\\y.x y) ((\\w.w) y) ((\\z.z) y)",
+    "(\\x.x x) (\\y.\\z.(\\x.\\z.x z) z)",
+    "(\\w.c) ((\\x.x x) (\\y.y (\\z.y z)))",
+    "a ((\\v0.v0 v0) (\\v1.v1 v1))",
+]
+
+
+@pytest.mark.parametrize("literal", CAPTURE_RENAMING_TERMS)
+def test_substitute_matches_the_two_walk_oracle_on_renaming_terms(literal):
+    # every contraction of the first 40 classes reached by all beta-steps
+    found = [parse(literal)]
+    seen = {canonicalize(found[0])}
+    for t in found[:40]:  # found grows while it is walked
+        for path in redexes(t):
+            redex = subterm_at(t, path)
+            body, var, replacement = redex.fn.body, redex.fn.binder, redex.arg
+            expected = named_oracle.substitute(body, var, replacement)
+            assert substitute(body, var, replacement) == expected, (render(t), path)
+            u = reduce_at(t, path)
+            if canonicalize(u) not in seen:
+                seen.add(canonicalize(u))
+                found.append(u)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """A one-element list counting the calls of terms.<name> from now on."""
+    calls, fn = [0], getattr(terms_module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(terms_module, name, counting)
+    return calls
+
+
+def test_substitute_scans_for_free_variables_only_where_a_binder_could_capture(monkeypatch):
+    # each wrapper counts the recursive calls too, as they go through the module
+    free_scans = _count_calls(monkeypatch, "free_vars")
+    name_scans = _count_calls(monkeypatch, "_all_names")
+    counts = []
+    for depth in (4, 16, 64):
+        body = Var("x")  # \w_k. ... \w_1.x x ... x, no binder named y
+        for k in range(depth):
+            body = Abs(f"w{k}", App(body, Var("x")))
+        free_scans[0] = 0
+        substitute(body, "x", Var("y"))
+        counts.append(free_scans[0])
+    assert counts[0] == counts[-1]  # the replacement's, not one per abstraction
+    assert name_scans[0] == 0
+    assert substitute(Abs("y", Var("x")), "x", Var("y")) == Abs("y1", Var("y"))
+    assert name_scans[0] > 0  # the names in use are gathered at a rename
+
+
+def test_substitute_returns_an_untouched_application_itself():
+    t = App(Abs("x", Var("x")), App(Var("y"), Abs("z", Var("z"))))
+    assert substitute(t, "x", Var("y")) is t
+    assert substitute(t, "w", Var("y")) is t
 
 
 @given(terms, terms, terms)
