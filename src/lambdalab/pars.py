@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
 
-from .strategies import Strategy
+from .strategies import Strategy, exact_eps
 from .terms import (
     CanonicalTerm,
     Term,
@@ -702,5 +702,5 @@ def grid_expected_lengths(
     graph, states = chain.graph, chain.states
     return {
         eps: _solve_rows(states, graph.chain_rows(states, eps), chain.origin)
-        for eps in map(Fraction, grid)
+        for eps in map(exact_eps, grid)
     }

@@ -35,6 +35,15 @@ class InvalidEpsilon(ValueError):
 DEFAULT_FUEL = 10_000
 
 
+def exact_eps(eps) -> Fraction:
+    """eps as a Fraction, from an int, a Fraction or a 'num/den' string.  A
+    float is refused: its binary value is seldom the rational meant, as
+    0.1 is 3602879701896397/36028797018963968."""
+    if isinstance(eps, float):
+        raise TypeError(f"eps must be an int, a Fraction or 'num/den', not the float {eps!r}")
+    return Fraction(eps)
+
+
 def parse_probability(text: str) -> Fraction:
     """Exact rational in [0,1] from 'num/den', '0' or '1'; decimals rejected."""
     m = re.fullmatch(r"(\d+)(?:/(\d+))?", text.strip())
@@ -127,7 +136,7 @@ def p_eps(t: Term, eps) -> Optional[Distribution]:
     When the LO- and RI-reducts are alpha-equal, as with a single redex,
     the two masses merge onto one class and the output is Dirac.
     """
-    eps = Fraction(eps)
+    eps = exact_eps(eps)
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0,1], got {eps}")
     paths = redexes(t)
@@ -157,7 +166,7 @@ class Strategy:
 
     @staticmethod
     def peps(eps) -> "Strategy":
-        eps = Fraction(eps)
+        eps = exact_eps(eps)
         if not 0 <= eps <= 1:
             raise ValueError(f"eps must lie in [0,1], got {eps}")
         return Strategy(eps, f"peps:{eps.numerator}/{eps.denominator}")
@@ -222,7 +231,7 @@ def foster_bound(t: Term, eps, fuel: int = DEFAULT_FUEL) -> Optional[Fraction]:
     at least eps in expectation per step.  None when LO does not reach a
     normal form within fuel (bound undefined at this fuel).
     """
-    eps = Fraction(eps)
+    eps = exact_eps(eps)
     if eps == 0:
         raise InvalidEpsilon("the bound requires eps > 0")
     if not 0 < eps <= 1:

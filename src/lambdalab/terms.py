@@ -37,6 +37,7 @@ application operands; parse(render(t)) == t for every term t.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from enum import Enum
 from typing import Optional, Union
@@ -153,56 +154,13 @@ def ensure_recursion_headroom(limit: int = 20_000) -> None:
 # parsing / printing
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "\\" or c == "λ":
-            tokens.append(("lambda", c, i))
-            i += 1
-        elif c == ".":
-            tokens.append(("dot", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-        elif c.isascii() and c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] in "_'")):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    return tokens
-
-
-class _Cursor:
-    """The parser's place in the token list, and the input's length for
-    errors at its end."""
-
-    __slots__ = ("tokens", "pos", "end")
-
-    def __init__(self, tokens: list[tuple[str, str, int]], end: int):
-        self.tokens, self.pos, self.end = tokens, 0, end
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {kind}, found end of input", self.end)
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
+# One alternative per token kind, each with the whitespace before it; the
+# group that matched names the kind.  A character that starts no token is
+# "bad".  \s is str.isspace, and names are ASCII.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<lambda>[\\λ])|(?P<dot>\.)|(?P<lparen>\()|(?P<rparen>\))"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_']*)|(?P<bad>\S))"
+)
 
 
 def parse(text: str) -> Term:
@@ -210,49 +168,68 @@ def parse(text: str) -> Term:
 
     Application is left-associative and an abstraction body extends as far
     right as possible.  Raises ParseError with a position on bad input.
+    One loop reads the tokens: binders holds the innermost open term's
+    leading binders and t its application so far, None before its first
+    atom, and each '(' saves the enclosing term's pair until its ')'.
     """
-    cur = _Cursor(_tokenize(text), len(text))
-    t = _parse_term(cur)
-    tok = cur.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    # The scan ends before the trailing whitespace, so each token starts
+    # where the one before it ended.  Were the whitespace in range, a
+    # search would start again at each of its characters and scan to its
+    # end, quadratic in its length.
+    tokens = list(_TOKEN.finditer(text, 0, len(text.rstrip())))
+    enclosing: list[tuple[list[str], Optional[Term]]] = []
+    binders: list[str] = []
+    t: Optional[Term] = None
+    rest = iter(tokens)
+    for tok in rest:
+        kind = tok.lastgroup
+        if kind == "ident":
+            atom = Var(tok["ident"])
+        elif kind == "lparen":
+            enclosing.append((binders, t))
+            binders, t = [], None
+            continue
+        elif t is None:  # a term starts here
+            if kind != "lambda":
+                raise _parse_error(tokens, tok, "a variable or '('", text)
+            name, dot = next(rest, None), next(rest, None)
+            for got, wanted in ((name, "ident"), (dot, "dot")):
+                if got is None or got.lastgroup != wanted:
+                    raise _parse_error(tokens, got, wanted, text)
+            binders.append(name["ident"])
+            continue
+        elif kind == "rparen" and enclosing:
+            for binder in reversed(binders):
+                t = Abs(binder, t)
+            atom = t
+            binders, t = enclosing.pop()
+        else:
+            raise _parse_error(tokens, tok, "rparen" if enclosing else None, text)
+        t = atom if t is None else App(t, atom)
+    if t is None:
+        raise _parse_error(tokens, None, "a term", text)
+    if enclosing:
+        raise _parse_error(tokens, None, "rparen", text)
+    for binder in reversed(binders):
+        t = Abs(binder, t)
     return t
 
 
-def _parse_term(cur: _Cursor) -> Term:
-    tok = cur.peek()
+def _parse_error(
+    tokens: list, tok: Optional[re.Match], expected: Optional[str], text: str
+) -> ParseError:
+    """The error for finding token tok, or the end of text when tok is None,
+    where expected was wanted, or nothing more when expected is None.  A
+    character that starts no token is reported first, wherever it is."""
+    bad = next((m for m in tokens if m.lastgroup == "bad"), None)
+    if bad is not None:
+        return ParseError(f"unexpected character {bad['bad']!r}", bad.start("bad"))
     if tok is None:
-        raise ParseError("expected a term, found end of input", cur.end)
-    if tok[0] == "lambda":
-        cur.expect("lambda")
-        _, name, _ = cur.expect("ident")
-        cur.expect("dot")
-        return Abs(name, _parse_term(cur))
-    return _parse_app(cur)
-
-
-def _parse_app(cur: _Cursor) -> Term:
-    t = _parse_atom(cur)
-    while True:
-        tok = cur.peek()
-        if tok is None or tok[0] not in ("ident", "lparen"):
-            return t
-        t = App(t, _parse_atom(cur))
-
-
-def _parse_atom(cur: _Cursor) -> Term:
-    tok = cur.peek()
-    if tok is None:
-        raise ParseError("expected a term, found end of input", cur.end)
-    if tok[0] == "ident":
-        cur.expect("ident")
-        return Var(tok[1])
-    if tok[0] == "lparen":
-        cur.expect("lparen")
-        t = _parse_term(cur)
-        cur.expect("rparen")
-        return t
-    raise ParseError(f"expected a variable or '(', found {tok[1]!r}", tok[2])
+        return ParseError(f"expected {expected}, found end of input", len(text))
+    found, position = tok[tok.lastgroup], tok.start(tok.lastgroup)
+    if expected is None:
+        return ParseError(f"unexpected trailing input {found!r}", position)
+    return ParseError(f"expected {expected}, found {found!r}", position)
 
 
 def render(t: Term, memo: Optional[dict] = None) -> str:
@@ -291,13 +268,20 @@ def _compose(t: Term, left: str, right: str = "") -> str:
     return f"{left} {right}" if isinstance(t.arg, Var) else f"{left} ({right})"
 
 
+def _nodes(t: Term) -> list:
+    """Every node of a named term, each after its parent."""
+    nodes = [t]
+    for node in nodes:  # nodes grows while it is walked
+        if isinstance(node, App):
+            nodes += (node.fn, node.arg)
+        elif isinstance(node, Abs):
+            nodes.append(node.body)
+    return nodes
+
+
 def term_size(t: Term) -> int:
     """Node count."""
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, Abs):
-        return 1 + term_size(t.body)
-    return 1 + term_size(t.fn) + term_size(t.arg)
+    return len(_nodes(t))
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +289,33 @@ def term_size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.binder}
-    return free_vars(t.fn) | free_vars(t.arg)
+    """The names that occur free in t, in one pass on an explicit stack that
+    holds nodes and, where an abstraction's body ends, its binder."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}  # how many binders of each name are above the node
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            bound[node] -= 1
+        elif isinstance(node, Var):
+            if not bound.get(node.name):
+                free.add(node.name)
+        elif isinstance(node, Abs):
+            bound[node.binder] = bound.get(node.binder, 0) + 1
+            stack += (node.binder, node.body)
+        else:
+            stack += (node.arg, node.fn)
+    return free
 
 
 def _all_names(t: Term) -> set[str]:
     """Every variable name occurring in t, free or bound (binders included)."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Abs):
-        return {t.binder} | _all_names(t.body)
-    return _all_names(t.fn) | _all_names(t.arg)
+    return {
+        node.binder if isinstance(node, Abs) else node.name
+        for node in _nodes(t)
+        if not isinstance(node, App)
+    }
 
 
 def _abs_c(body: CanonicalTerm) -> CanonicalTerm:
@@ -487,15 +484,7 @@ def reduce_at(t: Term, path: RedexPath, memo: Optional[dict] = None) -> Term:
 
 
 def is_normal_form(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Abs):
-        return is_normal_form(t.body)
-    return (
-        not isinstance(t.fn, Abs)
-        and is_normal_form(t.fn)
-        and is_normal_form(t.arg)
-    )
+    return not any(isinstance(node, App) and isinstance(node.fn, Abs) for node in _nodes(t))
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +745,8 @@ _GEN_RETRIES = 400
 def _gen(
     rng: random.Random,
     budget: int,
-    must: frozenset,
-    avail: frozenset,
+    must: set[str],
+    avail: set[str],
     tag: SubCalculus,
     counter: list[int],
     shape: str = "any",
@@ -787,14 +776,9 @@ def _gen(
     if kind == "abs":
         name = f"v{counter[0]}"
         counter[0] += 1
-        if tag in (SubCalculus.LAMBDA_I, SubCalculus.BOTH):
-            must2 = must | {name}
-            avail2 = avail | {name} if tag is SubCalculus.LAMBDA_I else avail
-        elif tag is SubCalculus.LAMBDA_A:
-            must2, avail2 = must, avail | {name}
-        else:
-            must2, avail2 = must, avail | {name}
-        body = _gen(rng, budget - 1, frozenset(must2), frozenset(avail2), tag, counter)
+        must2 = must | {name} if tag in (SubCalculus.LAMBDA_I, SubCalculus.BOTH) else must
+        avail2 = avail if tag is SubCalculus.BOTH else avail | {name}
+        body = _gen(rng, budget - 1, must2, avail2, tag, counter)
         return None if body is None else Abs(name, body)
 
     left_budget = rng.randint(1, budget - 2)
@@ -807,16 +791,16 @@ def _gen(
         for name in sorted(avail):
             (left_avail if rng.random() < 0.5 else right_avail).add(name)
     else:
-        left_avail = right_avail = set(avail)
+        left_avail = right_avail = avail
     # bias function positions toward abstractions so that corpora are
     # redex-rich rather than mostly vacuous for the reduction laws
     fn_shape = "abs" if left_budget >= 2 and rng.random() < 0.55 else "any"
-    fn = _gen(rng, left_budget, frozenset(left_must), frozenset(left_avail), tag, counter, fn_shape)
+    fn = _gen(rng, left_budget, left_must, left_avail, tag, counter, fn_shape)
     if fn is None and fn_shape == "abs":
-        fn = _gen(rng, left_budget, frozenset(left_must), frozenset(left_avail), tag, counter)
+        fn = _gen(rng, left_budget, left_must, left_avail, tag, counter)
     if fn is None:
         return None
-    arg = _gen(rng, right_budget, frozenset(right_must), frozenset(right_avail), tag, counter)
+    arg = _gen(rng, right_budget, right_must, right_avail, tag, counter)
     if arg is None:
         return None
     return App(fn, arg)
@@ -835,7 +819,7 @@ def random_term(seed: int, max_size: int, tag: SubCalculus = SubCalculus.FULL) -
     for _ in range(_GEN_RETRIES):
         # two upward-biased draws: tiny terms exercise laws only vacuously
         budget = max(rng.randint(1, max_size), rng.randint(1, max_size))
-        t = _gen(rng, budget, frozenset(), frozenset(), tag, [0])
+        t = _gen(rng, budget, set(), set(), tag, [0])
         if t is not None and term_size(t) <= max_size and (
             tag is SubCalculus.FULL or classify(t) in (tag, SubCalculus.BOTH)
         ):

@@ -13,7 +13,10 @@ it checks how pars.StateGraph and ChainAnalysis.to_report name states.
 substitute is terms.substitute as it was before its one-walk rewrite: all
 names and the replacement's free variables up front, a free-variable scan
 at every abstraction and a second pass over a renamed body, so it checks
-the one walk's results and fresh names.
+the one walk's results and fresh names.  parse is terms.parse as it was
+before its one-loop rewrite, a character scanner and a recursive-descent
+parser over a token cursor, so it checks the token pattern, the parse loop
+and their ParseErrors.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from lambdalab.terms import (
     Abs,
     App,
     InvalidPath,
+    ParseError,
     RedexPath,
     SubCalculus,
     Term,
@@ -41,6 +45,104 @@ from lambdalab.terms import (
     reduce_at,
     render,
 )
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c == "\\" or c == "λ":
+            tokens.append(("lambda", c, i))
+            i += 1
+        elif c == ".":
+            tokens.append(("dot", c, i))
+            i += 1
+        elif c == "(":
+            tokens.append(("lparen", c, i))
+            i += 1
+        elif c == ")":
+            tokens.append(("rparen", c, i))
+            i += 1
+        elif c.isascii() and c.isalpha():
+            j = i + 1
+            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] in "_'")):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+class _Cursor:
+    """The parser's place in the token list, and the input's length for
+    errors at its end."""
+
+    __slots__ = ("tokens", "pos", "end")
+
+    def __init__(self, tokens: list[tuple[str, str, int]], end: int):
+        self.tokens, self.pos, self.end = tokens, 0, end
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"expected {kind}, found end of input", self.end)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+
+def parse(text: str) -> Term:
+    """The concrete syntax as a Term, by recursive descent."""
+    cur = _Cursor(_tokenize(text), len(text))
+    t = _parse_term(cur)
+    tok = cur.peek()
+    if tok is not None:
+        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    return t
+
+
+def _parse_term(cur: _Cursor) -> Term:
+    tok = cur.peek()
+    if tok is None:
+        raise ParseError("expected a term, found end of input", cur.end)
+    if tok[0] == "lambda":
+        cur.expect("lambda")
+        _, name, _ = cur.expect("ident")
+        cur.expect("dot")
+        return Abs(name, _parse_term(cur))
+    return _parse_app(cur)
+
+
+def _parse_app(cur: _Cursor) -> Term:
+    t = _parse_atom(cur)
+    while True:
+        tok = cur.peek()
+        if tok is None or tok[0] not in ("ident", "lparen"):
+            return t
+        t = App(t, _parse_atom(cur))
+
+
+def _parse_atom(cur: _Cursor) -> Term:
+    tok = cur.peek()
+    if tok is None:
+        raise ParseError("expected a term, found end of input", cur.end)
+    if tok[0] == "ident":
+        cur.expect("ident")
+        return Var(tok[1])
+    if tok[0] == "lparen":
+        cur.expect("lparen")
+        t = _parse_term(cur)
+        cur.expect("rparen")
+        return t
+    raise ParseError(f"expected a variable or '(', found {tok[1]!r}", tok[2])
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from lambdalab.pars import analyze, grid_expected_lengths
 from lambdalab.strategies import (
     Distribution,
     InvalidEpsilon,
@@ -242,6 +243,22 @@ def test_strategy_names_and_parse():
     assert Strategy.parse("peps:1").eps == 1
     with pytest.raises(ValueError):
         Strategy.parse("outermost")
+
+
+def test_float_eps_is_refused_at_every_entry_point():
+    entry_points = {
+        "Strategy.peps": Strategy.peps,
+        "p_eps": lambda eps: p_eps(EX1, eps),
+        "foster_bound": lambda eps: foster_bound(EX1, eps),
+        "grid_expected_lengths": lambda eps: grid_expected_lengths(EX1, [Fraction(1, 2), eps]),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(TypeError, match=r"not the float 0\.1$"):
+            call(0.1)
+        # ints, Fractions and 'num/den' strings give one exact eps
+        assert call(1) == call(Fraction(1)) == call("1/1"), name
+        assert call(Fraction(1, 10)) == call("1/10"), name
+    assert analyze(EX1, Strategy.peps("1/10")).expected_length == 10
 
 
 def test_parse_probability_rejects_decimals():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -16,6 +17,7 @@ from lambdalab.terms import (
     ParseError,
     SubCalculus,
     Var,
+    canonical_free_vars,
     canonical_size,
     canonicalize,
     classify,
@@ -90,6 +92,72 @@ def test_parse_errors_carry_position(text, pos):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == pos
+
+
+def _parsed(parser, text):
+    """The term parser makes of text, or its ParseError's message and position."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+# the token alphabet, with spaces, characters that start no token and names
+# that only begin like one
+_PIECES = ["\\", "λ", ".", "(", ")", "x", "y'", "ab1", "z_'", "x'1", "0", "7", " ", "\t",
+           "\u00a0", "?", "é", "ж", "_", "'"]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
+def test_parse_matches_recursive_descent_oracle(text):
+    assert _parsed(parse, text) == _parsed(named_oracle.parse, text)
+
+
+@pytest.mark.parametrize("tag", list(SubCalculus), ids=lambda tag: tag.value)
+def test_parse_matches_oracle_on_rendered_random_terms(tag):
+    for seed in range(100):
+        t = random_term(seed, 30, tag)
+        text = render(t)
+        assert parse(text) == named_oracle.parse(text) == t
+
+
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize(
+    "literal,size,free,names,normal",
+    [
+        ("(" * _DEEP + "x" + ")" * _DEEP, 1, {"x"}, {"x"}, True),
+        (
+            "".join(f"\\v{i}." for i in range(_DEEP)) + "(\\y.y) z",
+            _DEEP + 4,
+            {"z"},
+            {f"v{i}" for i in range(_DEEP)} | {"y", "z"},
+            False,
+        ),
+        ("x " * (_DEEP - 1) + "y", 2 * _DEEP - 1, {"x", "y"}, {"x", "y"}, True),
+        ("(\\x.x) " + "y " * (_DEEP - 1), 2 * _DEEP, {"y"}, {"x", "y"}, False),
+    ],
+    ids=["parentheses", "abstractions", "application-spine", "spine-over-a-redex"],
+)
+def test_parse_and_named_queries_do_not_recurse(literal, size, free, names, normal):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = parse(literal)
+        got = term_size(t), free_vars(t), terms_module._all_names(t), is_normal_form(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (size, free, names, normal)
+
+
+def test_parse_reads_long_whitespace_in_linear_time():
+    text = " " * _DEEP + "x" + "\t" * _DEEP
+    start = time.perf_counter()
+    assert parse(text) == Var("x")
+    # a scan that searched again from each trailing space would take minutes
+    assert time.perf_counter() - start < 1.0
 
 
 def test_render_minimal_parentheses():
@@ -480,6 +548,11 @@ def test_contract_canonical_shares_untouched_subterms():
 @given(terms)
 def test_canonical_size_is_term_size(t):
     assert canonical_size(canonicalize(t)) == term_size(t)
+
+
+@given(terms)
+def test_canonical_free_vars_is_free_vars(t):
+    assert canonical_free_vars(canonicalize(t)) == free_vars(t)
 
 
 def test_is_normal_form():
