@@ -12,10 +12,12 @@ Each call below builds one graph and runs every eps it needs over it:
   configuration and |rho_k| is the probability that a run takes k steps or
   more.  A row weighs its targets by eps, 1 - eps or 1, so evolve_trace
   carries integer masses over a power of d = eps.denominator, keeps a table
-  of those powers, and reduces each mass by stripping whole factors of d
-  with divmod and reading its denominator from the table: a prime d needs
-  no gcd beyond one of two small numbers and never a division of the big
-  denominator;
+  of those powers and, next to each mass, its residue mod d.  A splitting
+  step weighs everything that steps by d in all, so the mass it leaves is
+  the stepped total over one power of d fewer; when the total's residue is
+  a unit mod d that fraction is already in lowest terms and is built with
+  no division and no big gcd, which for a prime d is all but about one
+  step in d;
 * the reachable-state chain — breadth-first closure of the start class
   under the strategy's rows, with every normal form collapsed into a single
   absorbing class ``trm``, solved exactly for the absorption probability
@@ -259,7 +261,8 @@ class EvolutionTrace:
     keeps d and powers the table powers[k] == d**k up to the last s_i, so
     the functions below can work in integers, read every denominator from
     the table and reduce each result once; none of the three takes part in
-    equality.
+    equality.  Each of masses is in lowest terms, as Fraction(N_i, d**s_i)
+    would be.
     """
 
     masses: tuple  # Fractions, length horizon + 1, masses[0] == 1
@@ -281,14 +284,20 @@ if sys.version_info >= (3, 12):
 else:
 
     def _coprime(n: int, den: int) -> Fraction:
-        return Fraction(n, den, _normalize=False)
+        """n / den for coprime n and den >= 1, built with no gcd and no
+        argument checks, as Fraction._from_coprime_ints builds it."""
+        f = object.__new__(Fraction)
+        f._numerator = n
+        f._denominator = den
+        return f
 
 
 _REDUCE_ROUNDS = 3
 
 
 def _reduced(n: int, s: int, d: int, powers) -> Fraction:
-    """n / d**s in lowest terms, for a table with powers[k] == d**k.
+    """n / d**s in lowest terms, for a table with powers[k] == d**k: the
+    one general reduction of this module, for any n.
 
     A mass of 0 or 1 is returned at once.  Otherwise whole factors of d
     come off n by divmod, each one stepping s down, and the denominator is
@@ -297,7 +306,8 @@ def _reduced(n: int, s: int, d: int, powers) -> Fraction:
     numbers that is 1 whenever d is prime.  A composite d can leave a
     proper factor of itself in n; rounds of gcds against d divide it out of
     n and the denominator, and after _REDUCE_ROUNDS of them Fraction's own
-    gcd finishes the job.
+    gcd finishes the job.  evolve_trace calls it only on the steps whose
+    stepped total is not known to be prime to d.
     """
     if n == 0:
         return _ZERO
@@ -329,10 +339,17 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     step weighs a two-way row's targets by eps.numerator and
     d - eps.numerator and a one-way row's by d, and steps s up, when some
     current class splits, and moves every mass unweighted otherwise.  The
-    table of powers of d grows by one entry whenever s does, and each
-    recorded mass is reduced against it by _reduced, so a prime d costs no
-    big gcd and no big division.  Once every mass is absorbed, the rest of
-    the trace is zeros and is not stepped.
+    table of powers of d grows by one entry whenever s does.
+
+    So the N_i of a splitting step is d times the total that stepped, and
+    the step's mass is that total over d**(s - 1), or over d**s when no
+    class split.  Each class's mass carries its residue mod d, stepped in
+    small ints, and the residues of the stepped classes add up to the
+    total's: when that is a unit mod d, the total is prime to d and the
+    mass is built in lowest terms at once, with no big division and no big
+    gcd.  Only the other steps, and any other denominator, go through
+    _reduced.  Once every mass is absorbed, the rest of the trace is zeros
+    and is not stepped.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -341,7 +358,9 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     b = d - a
     graph = StateGraph()
     rows: dict[int, Optional[tuple]] = {}  # successor ids, None for a normal form
-    current: dict[int, int] = {graph.intern(t): 1}
+    root = graph.intern(t)
+    current: dict[int, int] = {root: 1}
+    residues: dict[int, int] = {root: 1}  # each mass mod d, up to a multiple of d
     s = 0
     powers = [1]
     unreduced = [(1, 0)]
@@ -359,24 +378,36 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
             split = split or (rows[i] is not None and len(rows[i]) == 2)
         one_way = d if split else 1
         nxt: dict[int, int] = {}
+        nxt_residues: dict[int, int] = {}
+        total = total_residue = 0
         for i, m in current.items():
             targets = rows[i]
             if targets is None:
                 continue
+            r = residues[i] % d
+            total += m
+            total_residue += r
             if len(targets) == 2:
                 lo, ri = targets
                 nxt[lo] = nxt.get(lo, 0) + m * a
                 nxt[ri] = nxt.get(ri, 0) + m * b
+                nxt_residues[lo] = nxt_residues.get(lo, 0) + r * a
+                nxt_residues[ri] = nxt_residues.get(ri, 0) + r * b
             else:
                 (j,) = targets
                 nxt[j] = nxt.get(j, 0) + m * one_way
+                nxt_residues[j] = nxt_residues.get(j, 0) + r * one_way
+        k = s  # the power of d under the stepped total
         if split:
             s += 1
             powers.append(powers[-1] * d)
-        current = nxt
-        n = sum(current.values())
-        unreduced.append((n, s))
-        masses.append(_reduced(n, s, d, powers))
+        current, residues = nxt, nxt_residues
+        unreduced.append((total * one_way, s))
+        r = total_residue % d
+        if k == 0 or (r and gcd(r, d) == 1):
+            masses.append(_coprime(total, powers[k]))
+        else:
+            masses.append(_reduced(total, k, d, powers))
     return EvolutionTrace(tuple(masses), tuple(unreduced), d, tuple(powers))
 
 

@@ -330,20 +330,24 @@ def _app_c(fn: CanonicalTerm, arg: CanonicalTerm) -> CanonicalTerm:
 
 def canonicalize(t: Term) -> CanonicalTerm:
     """Binder-name-independent encoding; equal exactly on alpha-classes."""
-    return _canonical(t, ())
+    return _canonical(t, 0, {})
 
 
-def _canonical(node: Term, binders: tuple) -> CanonicalTerm:
-    """canonicalize under binders, the names bound above node, innermost
-    first."""
+def _canonical(node: Term, depth: int, scope: dict) -> CanonicalTerm:
+    """canonicalize at depth, the number of abstractions above node, where
+    scope maps each name to the depths of the abstractions above node that
+    bind it, innermost last: a bound variable's index is its depth below
+    its innermost binder, so each node costs O(1) however deep it is."""
     if isinstance(node, Var):
-        try:
-            return ("b", binders.index(node.name))
-        except ValueError:
-            return ("f", node.name)
+        depths = scope.get(node.name)
+        return ("b", depth - 1 - depths[-1]) if depths else ("f", node.name)
     if isinstance(node, Abs):
-        return _abs_c(_canonical(node.body, (node.binder,) + binders))
-    return _app_c(_canonical(node.fn, binders), _canonical(node.arg, binders))
+        depths = scope.setdefault(node.binder, [])
+        depths.append(depth)
+        body = _canonical(node.body, depth + 1, scope)
+        depths.pop()
+        return _abs_c(body)
+    return _app_c(_canonical(node.fn, depth, scope), _canonical(node.arg, depth, scope))
 
 
 # ---------------------------------------------------------------------------

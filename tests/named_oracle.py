@@ -16,7 +16,10 @@ at every abstraction and a second pass over a renamed body, so it checks
 the one walk's results and fresh names.  parse is terms.parse as it was
 before its one-loop rewrite, a character scanner and a recursive-descent
 parser over a token cursor, so it checks the token pattern, the parse loop
-and their ParseErrors.
+and their ParseErrors.  canonicalize is terms.canonicalize as it was before
+it counted depths: it carries the tuple of binder names above a node and
+finds a bound variable's index with tuple.index, so it checks the indices
+that canonicalize reads off its stacks of binding depths.
 """
 
 from __future__ import annotations
@@ -30,13 +33,16 @@ from lambdalab.terms import (
     INTO_FN,
     Abs,
     App,
+    CanonicalTerm,
     InvalidPath,
     ParseError,
     RedexPath,
     SubCalculus,
     Term,
     Var,
+    _abs_c,
     _all_names,
+    _app_c,
     _fresh_name,
     canonicalize,
     free_vars,
@@ -167,6 +173,23 @@ def alpha_eq(t: Term, u: Term) -> bool:
         return False
 
     return go(t, u, {}, {}, 0)
+
+
+def canonical_form(t: Term) -> CanonicalTerm:
+    """terms.canonicalize by the names bound above each node, innermost
+    first, rebuilt as a tuple at every abstraction."""
+
+    def go(node: Term, binders: tuple) -> CanonicalTerm:
+        if isinstance(node, Var):
+            try:
+                return ("b", binders.index(node.name))
+            except ValueError:
+                return ("f", node.name)
+        if isinstance(node, Abs):
+            return _abs_c(go(node.body, (node.binder,) + binders))
+        return _app_c(go(node.fn, binders), go(node.arg, binders))
+
+    return go(t, ())
 
 
 def substitute(body: Term, var: str, replacement: Term) -> Term:

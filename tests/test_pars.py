@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -194,6 +195,98 @@ def test_splitting_term_keeps_mass_one_with_few_gcds(monkeypatch):
     assert trace.masses == (1,) * (horizon + 1)
     assert trace.unreduced[-1] == (3**horizon, horizon)
     assert calls == []
+
+
+def _counting_reduced(monkeypatch) -> list:
+    calls = []
+    reduced = pars._reduced
+
+    def counted(*args):
+        calls.append(args[1:3])  # (s, d)
+        return reduced(*args)
+
+    monkeypatch.setattr(pars, "_reduced", counted)
+    return calls
+
+
+def _assert_lowest_terms(trace):
+    d = trace.base
+    for mass, (n, s) in zip(trace.masses, trace.unreduced):
+        want = Fraction(n, d**s)
+        assert type(mass) is Fraction
+        assert (mass.numerator, mass.denominator) == (want.numerator, want.denominator)
+
+
+def test_geometric_trace_takes_no_general_reduction(monkeypatch):
+    # every stepped total of example1 at 3/7 is a power of 4, prime to 7
+    calls = _counting_reduced(monkeypatch)
+    trace = evolve_trace(EX1, Strategy.peps(Fraction(3, 7)), 1000)
+    assert calls == []
+    assert trace.masses[-1] == Fraction(4, 7) ** 999
+
+
+@pytest.mark.parametrize(
+    "eps, least",
+    [(Fraction(3, 7), 100), (Fraction(5, 12), 300), (Fraction(3, 10), 300)],
+    ids=str,
+)
+def test_trace_falls_back_to_the_general_reduction_exactly(monkeypatch, eps, least):
+    # at a prime d a stepped total of Mn:4 is a multiple of d about one
+    # step in d; at a composite d most totals share a prime with d
+    calls = _counting_reduced(monkeypatch)
+    trace = evolve_trace(mk_Mn(4), Strategy.peps(eps), 1000)
+    assert len(calls) >= least
+    assert all(d == eps.denominator for _, d in calls)
+    _assert_lowest_terms(trace)
+
+
+REDUCTION_EPS = tuple(map(Fraction, ("0", "1", "1/2", "2/7", "1/6", "3/10", "5/12", "5/6")))
+
+
+@pytest.mark.parametrize(
+    "tag", [*SubCalculus, None], ids=lambda tag: tag.value if tag else "anchors"
+)
+def test_trace_masses_are_exact_on_random_corpora(tag):
+    # every mass in lowest terms at every step, and equal to the named
+    # evolution's masses over its first steps; random terms are absorbed
+    # within a few steps, so the anchors, several of which never are, run
+    # the reduction at large s
+    if tag is None:
+        corpus = [entry.term for entry in anchor_corpus()]
+    else:
+        corpus = [random_term(seed, 40, tag) for seed in range(30)]
+    for t in corpus:
+        for eps in REDUCTION_EPS:
+            strategy = Strategy.peps(eps)
+            trace = evolve_trace(t, strategy, 60)
+            _assert_lowest_terms(trace)
+            config = Configuration.dirac(t)
+            for mass in trace.masses[1:5]:
+                config = evolve(config, strategy)
+                assert mass == config.mass, (render(t), eps)
+
+
+@given(
+    st.integers(1, 2**200).flatmap(
+        lambda den: st.tuples(
+            st.integers(-(2**200), 2**200).filter(lambda n: math.gcd(n, den) == 1),
+            st.just(den),
+        )
+    )
+)
+@example((0, 1))
+@example((-3, 1))
+@example((5, 7))
+def test_coprime_is_the_fraction_in_lowest_terms(case):
+    n, den = case
+    got, want = pars._coprime(n, den), Fraction(n, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+    assert got == want and not got < want and got + want == 2 * want
+    assert got < want + 1 and got + 1 == want + 1
+    copy = pickle.loads(pickle.dumps(got))
+    assert type(copy) is Fraction and (copy.numerator, copy.denominator) == (n, den)
 
 
 @pytest.mark.parametrize("t", [I, EX2], ids=["I", "example2"])

@@ -5,7 +5,7 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from lambdalab import terms as terms_module
 from lambdalab.laws import anchor_corpus
@@ -215,6 +215,19 @@ def test_canonicalize_deterministic():
 @given(terms, terms)
 def test_canonical_identity_iff_alpha_eq(t, u):
     assert (canonicalize(t) == canonicalize(u)) == alpha_eq(t, u)
+
+
+@given(terms)
+@example(Abs("x", Abs("y", Abs("x", App(Var("x"), Abs("z", App(Var("y"), Var("w"))))))))
+def test_canonicalize_matches_binder_tuple_oracle(t):
+    assert canonicalize(t) == named_oracle.canonical_form(t)
+
+
+def test_canonicalize_matches_binder_tuple_oracle_on_corpora():
+    corpus = [entry.term for entry in anchor_corpus()]
+    corpus += [random_term(seed, 40, tag) for tag in SubCalculus for seed in range(25)]
+    for t in corpus:
+        assert canonicalize(t) == named_oracle.canonical_form(t)
 
 
 # ---------------------------------------------------------------------------
