@@ -7,17 +7,17 @@ representative is built only when asked for, by contracting its parent's
 at the path that the canonical step went down.
 Each call below builds one graph and runs every eps it needs over it:
 
-* configuration evolution — a partial distribution over alpha-classes is
-  pushed one step at a time; normal forms absorb, so their mass leaves the
-  configuration and |rho_k| is the probability that a run takes k steps or
-  more.  A row weighs its targets by eps, 1 - eps or 1, so evolve_trace
-  carries integer masses over a power of d = eps.denominator, keeps a table
-  of those powers and, next to each mass, its residue mod d.  A splitting
-  step weighs everything that steps by d in all, so the mass it leaves is
-  the stepped total over one power of d fewer; when the total's residue is
-  a unit mod d that fraction is already in lowest terms and is built with
-  no division and no big gcd, which for a prime d is all but about one
-  step in d;
+* configuration evolution — a partial distribution over the reducible
+  alpha-classes is pushed one step at a time; normal forms absorb, so the
+  mass that a step sends to one leaves the configuration at that step, and
+  |rho_k| is the probability that a run takes k steps or more.  A row
+  weighs its targets by eps, 1 - eps or 1, so evolve_trace carries integer
+  masses over a power of d = eps.denominator and keeps a table of those
+  powers.  A splitting step weighs everything that steps by d in all, so
+  the mass it leaves is the stepped total over one power of d fewer; when
+  the total's residue mod d is a unit that fraction is already in lowest
+  terms and is built with no big division and no big gcd, which for a
+  prime d is all but about one step in d;
 * the reachable-state chain — breadth-first closure of the start class
   under the strategy's rows, with every normal form collapsed into a single
   absorbing class ``trm``, solved exactly for the absorption probability
@@ -307,7 +307,7 @@ def _reduced(n: int, s: int, d: int, powers) -> Fraction:
     proper factor of itself in n; rounds of gcds against d divide it out of
     n and the denominator, and after _REDUCE_ROUNDS of them Fraction's own
     gcd finishes the job.  evolve_trace calls it only on the steps whose
-    stepped total is not known to be prime to d.
+    stepped total is not prime to d.
     """
     if n == 0:
         return _ZERO
@@ -334,22 +334,25 @@ def _reduced(n: int, s: int, d: int, powers) -> Fraction:
 def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     """Masses of the Dirac-started evolution, recorded up to the horizon.
 
-    Each class keeps its successor ids, and the masses are integer
-    numerators over the running denominator d**s, d = eps.denominator: a
-    step weighs a two-way row's targets by eps.numerator and
-    d - eps.numerator and a one-way row's by d, and steps s up, when some
-    current class splits, and moves every mass unweighted otherwise.  The
-    table of powers of d grows by one entry whenever s does.
+    Only reducible classes hold mass.  A class's row is compiled the first
+    time it does: its successor ids less the normal forms, and whether it
+    splits.  The masses are integer numerators over the running
+    denominator d**s, d = eps.denominator: a step weighs a two-way row's
+    targets by eps.numerator and d - eps.numerator and a one-way row's by
+    d, and steps s up, when some current class splits, and moves every
+    mass unweighted otherwise.  Mass that a row sends to a normal form is
+    absorbed at that step and never stepped again.  One pass over the
+    current classes sums the stepped total, applies the rows and notes
+    whether any splits; the one-way rows' masses are weighed after it.
+    The table of powers of d grows by one entry whenever s does.
 
     So the N_i of a splitting step is d times the total that stepped, and
     the step's mass is that total over d**(s - 1), or over d**s when no
-    class split.  Each class's mass carries its residue mod d, stepped in
-    small ints, and the residues of the stepped classes add up to the
-    total's: when that is a unit mod d, the total is prime to d and the
-    mass is built in lowest terms at once, with no big division and no big
-    gcd.  Only the other steps, and any other denominator, go through
-    _reduced.  Once every mass is absorbed, the rest of the trace is zeros
-    and is not stepped.
+    class split.  When the total's residue mod d is a unit, the total is
+    prime to d and the mass is built in lowest terms at once, with no big
+    division and no big gcd; only the other steps go through _reduced.
+    Once every mass is absorbed, the rest of the trace is zeros and is not
+    stepped.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -357,10 +360,9 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     a, d = eps.numerator, eps.denominator
     b = d - a
     graph = StateGraph()
-    rows: dict[int, Optional[tuple]] = {}  # successor ids, None for a normal form
+    rows: dict[int, tuple] = {}  # (splits, live targets) of each class that held mass
     root = graph.intern(t)
-    current: dict[int, int] = {root: 1}
-    residues: dict[int, int] = {root: 1}  # each mass mod d, up to a multiple of d
+    current: dict[int, int] = {} if graph.is_normal(root) else {root: 1}
     s = 0
     powers = [1]
     unreduced = [(1, 0)]
@@ -371,39 +373,38 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
             unreduced += [(0, s)] * rest
             masses += [_ZERO] * rest
             break
-        split = False
-        for i in current:
-            if i not in rows:
-                rows[i] = None if graph.is_normal(i) else graph.successors(i, eps)
-            split = split or (rows[i] is not None and len(rows[i]) == 2)
-        one_way = d if split else 1
         nxt: dict[int, int] = {}
-        nxt_residues: dict[int, int] = {}
-        total = total_residue = 0
+        one_way_masses = []  # (target, mass) of the one-way rows, weighed below
+        total = 0
+        split = False
         for i, m in current.items():
-            targets = rows[i]
-            if targets is None:
-                continue
-            r = residues[i] % d
+            row = rows.get(i)
+            if row is None:  # a split row keeps (id, weight) pairs, a one-way row the id
+                ids = graph.successors(i, eps)
+                if len(ids) == 2:
+                    live = zip(ids, (a, b))
+                    row = (True, tuple((j, w) for j, w in live if not graph.is_normal(j)))
+                else:
+                    row = (False, tuple(j for j in ids if not graph.is_normal(j)))
+                rows[i] = row
             total += m
-            total_residue += r
-            if len(targets) == 2:
-                lo, ri = targets
-                nxt[lo] = nxt.get(lo, 0) + m * a
-                nxt[ri] = nxt.get(ri, 0) + m * b
-                nxt_residues[lo] = nxt_residues.get(lo, 0) + r * a
-                nxt_residues[ri] = nxt_residues.get(ri, 0) + r * b
-            else:
-                (j,) = targets
-                nxt[j] = nxt.get(j, 0) + m * one_way
-                nxt_residues[j] = nxt_residues.get(j, 0) + r * one_way
+            splits, targets = row
+            if splits:
+                split = True
+                for j, w in targets:
+                    nxt[j] = nxt.get(j, 0) + m * w
+            elif targets:
+                one_way_masses.append((targets[0], m))
         k = s  # the power of d under the stepped total
+        one_way = d if split else 1
         if split:
             s += 1
             powers.append(powers[-1] * d)
-        current, residues = nxt, nxt_residues
+        for j, m in one_way_masses:
+            nxt[j] = nxt.get(j, 0) + m * one_way
+        current = nxt
         unreduced.append((total * one_way, s))
-        r = total_residue % d
+        r = total % d
         if k == 0 or (r and gcd(r, d) == 1):
             masses.append(_coprime(total, powers[k]))
         else:

@@ -248,19 +248,37 @@ def criterion_8(corpora=None) -> CriterionResult:
 
 
 def _mass_conserved(drops: dict, trace: EvolutionTrace) -> bool:
-    """Whether the drops and the trailing mass sum to exactly 1.
+    """Whether the drops and the trailing mass sum to exactly 1, with no
+    big integer divided by another.
 
-    Each reduced Fraction is lifted to the last common denominator d**s,
-    which its denominator must divide, and the numerators are summed, so a
-    wrongly reduced drop or mass still fails the check."""
-    den = trace.powers[trace.unreduced[-1][1]]
-    total = 0
-    for mass in (*drops.values(), trace.trailing_mass):
-        scale, rest = divmod(den, mass.denominator)
-        if rest:
-            return False
-        total += mass.numerator * scale
-    return total == den
+    Each reduced Fraction enters the sum as a numerator over a power d**j
+    of d: its own, when its denominator is in the trace's table of powers,
+    and otherwise (a composite d can leave a proper divisor of a power of
+    d) the integer drop or trailing N over d**s_i that it was reduced from,
+    once cross-multiplying shows the two are equal.  The terms are summed
+    over the largest power so far, so every lift is a multiplication by a
+    table entry, and a wrongly reduced drop or mass still fails the check."""
+    powers, unreduced = trace.powers, trace.unreduced
+    last = len(unreduced) - 1
+    exponent = {power: j for j, power in enumerate(powers)}
+    total = top = 0  # the running sum is total / d**top
+    for i, mass in (*drops.items(), (last, trace.trailing_mass)):
+        n, j = mass.numerator, exponent.get(mass.denominator)
+        if j is None:
+            if i == last:
+                n, j = unreduced[i]
+            elif 0 <= i < last:
+                (n, s), (n_next, j) = unreduced[i], unreduced[i + 1]
+                n = n * powers[j - s] - n_next
+            else:
+                return False
+            if mass.numerator * powers[j] != n * mass.denominator:
+                return False
+        if j >= top:
+            total, top = total * powers[j - top] + n, j
+        else:
+            total += n * powers[top - j]
+    return total == powers[top]
 
 
 def criterion_9() -> CriterionResult:

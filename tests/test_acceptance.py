@@ -5,12 +5,15 @@ and asserts the criterion at its stated tolerance; exact-equality checks
 use rationals end to end.  Shared corpora are built once per session.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lambdalab import laws, repro
-from lambdalab.pars import EvolutionTrace
+from lambdalab.pars import EvolutionTrace, derivation_length_dist, evolve_trace
+from lambdalab.strategies import Strategy
+from lambdalab.terms import mk_Mn
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,59 @@ def test_criterion_09_reports_a_rising_mass(monkeypatch):
     assert not result.passed
     assert "masses increased" in result.detail
     assert "mass not conserved" not in result.detail
+
+
+def _composite_base_trace():
+    """A trace at d = 10 with its drops, one of which is reduced to a
+    denominator that divides a power of 10 without being one."""
+    trace = evolve_trace(mk_Mn(4), Strategy.peps(Fraction(1, 10)), 200)
+    drops = derivation_length_dist(trace)
+    powers = set(trace.powers)
+    odd = next(i for i, drop in drops.items() if drop.denominator not in powers)
+    return trace, drops, odd
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 4), Fraction(2, 7)], ids=str)
+def test_mass_check_passes_exact_traces(eps):
+    for entry in laws.anchor_corpus():
+        trace = evolve_trace(entry.term, Strategy.peps(eps), 200)
+        assert repro._mass_conserved(derivation_length_dist(trace), trace), entry.term_id
+    trace, drops, _ = _composite_base_trace()
+    assert repro._mass_conserved(drops, trace)
+
+
+def test_mass_check_fails_a_wrongly_reduced_drop():
+    trace, drops, odd = _composite_base_trace()
+    power = next(i for i, drop in drops.items() if drop.denominator in set(trace.powers))
+    for i in (odd, power):
+        drop = drops[i]
+        # the first keeps a power of d as its denominator, the others do not
+        for wrong in (Fraction(drop.numerator + 10, drop.denominator),
+                      Fraction(drop.numerator + 1, drop.denominator),
+                      Fraction(drop.numerator, 2 * drop.denominator)):
+            assert not repro._mass_conserved({**drops, i: wrong}, trace)
+    # a drop at a step the trace does not have
+    for i in (-1, trace.horizon, trace.horizon + 1):
+        assert not repro._mass_conserved({**drops, i: drops[odd]}, trace)
+
+
+def test_mass_check_fails_a_wrong_trailing_mass(monkeypatch):
+    trace, drops, _ = _composite_base_trace()
+    tail = trace.trailing_mass
+    for wrong in (Fraction(tail.numerator + 10, tail.denominator),
+                  Fraction(tail.numerator, 2 * tail.denominator)):
+        masses = trace.masses[:-1] + (wrong,)
+        assert not repro._mass_conserved(drops, replace(trace, masses=masses))
+    # criterion 9 reports it, and only it
+    shifted = EvolutionTrace(
+        masses=(Fraction(1), Fraction(1), Fraction(1, 3)),
+        unreduced=((1, 0), (2, 1), (1, 2)), base=2, powers=(1, 2, 4),
+    )
+    monkeypatch.setattr(repro, "evolve_trace", lambda t, strategy, horizon: shifted)
+    result = repro.criterion_9()
+    assert not result.passed
+    assert "mass not conserved" in result.detail
+    assert "masses increased" not in result.detail
 
 
 def test_criterion_10_monte_carlo_consistency():

@@ -104,14 +104,7 @@ TRACE_ORACLE_EPS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7), Fr
 @settings(max_examples=60, deadline=None)
 def test_evolve_trace_matches_iterated_evolve(t):
     for eps in TRACE_ORACLE_EPS:
-        strategy = Strategy.peps(eps)
-        trace = evolve_trace(t, strategy, 5)
-        config = Configuration.dirac(t)
-        masses = [config.mass]
-        for _ in range(5):
-            config = evolve(config, strategy)
-            masses.append(config.mass)
-        assert list(trace.masses) == masses, eps
+        _assert_matches_oracle(t, eps, 5)
 
 
 REDUCED_BASES = (1, 2, 6, 7, 12, 10**9 + 7)
@@ -232,12 +225,20 @@ def test_geometric_trace_takes_no_general_reduction(monkeypatch):
 )
 def test_trace_falls_back_to_the_general_reduction_exactly(monkeypatch, eps, least):
     # at a prime d a stepped total of Mn:4 is a multiple of d about one
-    # step in d; at a composite d most totals share a prime with d
+    # step in d; at a composite d most totals share a prime with d.  The
+    # fallback runs on exactly the steps after the first whose stepped
+    # total, N_i over the step's own weight, is not prime to d
     calls = _counting_reduced(monkeypatch)
     trace = evolve_trace(mk_Mn(4), Strategy.peps(eps), 1000)
-    assert len(calls) >= least
-    assert all(d == eps.denominator for _, d in calls)
+    d = eps.denominator
+    steps = zip(trace.unreduced, trace.unreduced[1:])
+    shared = [k for (_, k), (n, s) in steps if k and math.gcd(n // d ** (s - k), d) != 1]
+    assert len(calls) == len(shared) == FALLBACKS[eps] >= least
+    assert calls == [(k, d) for k in shared]
     _assert_lowest_terms(trace)
+
+
+FALLBACKS = {Fraction(3, 7): 145, Fraction(5, 12): 667, Fraction(3, 10): 601}
 
 
 REDUCTION_EPS = tuple(map(Fraction, ("0", "1", "1/2", "2/7", "1/6", "3/10", "5/12", "5/6")))
@@ -250,11 +251,14 @@ def test_trace_masses_are_exact_on_random_corpora(tag):
     # every mass in lowest terms at every step, and equal to the named
     # evolution's masses over its first steps; random terms are absorbed
     # within a few steps, so the anchors, several of which never are, run
-    # the reduction at large s
+    # the reduction at large s.  The compared steps must merge mass from two
+    # live classes into one and send live mass to a normal form, or a
+    # summing or absorbing fault in evolve_trace could pass unseen
     if tag is None:
         corpus = [entry.term for entry in anchor_corpus()]
     else:
         corpus = [random_term(seed, 40, tag) for seed in range(30)]
+    merges = absorptions = 0
     for t in corpus:
         for eps in REDUCTION_EPS:
             strategy = Strategy.peps(eps)
@@ -262,8 +266,111 @@ def test_trace_masses_are_exact_on_random_corpora(tag):
             _assert_lowest_terms(trace)
             config = Configuration.dirac(t)
             for mass in trace.masses[1:5]:
+                merged, absorbed = _merges_and_absorptions(config, strategy)
+                merges += merged
+                absorptions += absorbed
                 config = evolve(config, strategy)
                 assert mass == config.mass, (render(t), eps)
+    assert merges > 0 and absorptions > 0
+
+
+def _merges_and_absorptions(config, strategy) -> tuple:
+    """In the named evolution's next step from config: the number of
+    classes that receive mass from two or more live classes, and the
+    number of (live class, normal form) pairs that mass moves along."""
+    sources: dict = {}
+    absorptions = 0
+    for c in config.masses:
+        dist = strategy.distribution(config.reps[c])
+        if dist is None:
+            continue
+        for target in dist.masses:
+            sources.setdefault(target, set()).add(c)
+            absorptions += is_normal_form(dist.reps[target])
+    return sum(len(found) > 1 for found in sources.values()), absorptions
+
+
+def _assert_matches_oracle(t, eps, horizon):
+    """evolve_trace's masses equal the named evolution's at every step,
+    and each is Fraction(N_i, d**s_i) in lowest terms."""
+    strategy = Strategy.peps(eps)
+    trace = evolve_trace(t, strategy, horizon)
+    _assert_lowest_terms(trace)
+    config = Configuration.dirac(t)
+    masses = [config.mass]
+    for _ in range(horizon):
+        config = evolve(config, strategy)
+        masses.append(config.mass)
+    assert list(trace.masses) == masses, (render(t), eps)
+    return trace
+
+
+def _anchors_and_random_terms() -> list:
+    corpus = [entry.term for entry in anchor_corpus()]
+    return corpus + [random_term(seed, 40, tag) for tag in SubCalculus for seed in range(5)]
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 5])
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(5, 12)], ids=str)
+def test_normal_origin_trace_is_one_then_zeros(horizon, eps):
+    # a normal origin holds no live mass, so nothing is ever stepped
+    trace = _assert_matches_oracle(I, eps, horizon)
+    assert trace.masses == (1,) + (0,) * horizon
+    assert trace.unreduced == ((1, 0),) + ((0, 0),) * horizon
+    assert trace.powers == (1,) and trace.base == eps.denominator
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1)], ids=str)
+def test_one_way_traces_never_split(eps):
+    # at eps 0 and 1 every row is one-way and d = 1, so s stays 0
+    for t in _anchors_and_random_terms():
+        trace = _assert_matches_oracle(t, eps, 20)
+        assert trace.base == 1 and trace.powers == (1,)
+        assert all(s == 0 for _, s in trace.unreduced)
+
+
+def test_row_whose_lo_target_is_normal():
+    # example1's LO step reaches y and its RI step example1 itself: each
+    # step absorbs 3/7 of the mass and keeps 4/7 of it on one live class
+    trace = _assert_matches_oracle(EX1, Fraction(3, 7), 30)
+    assert trace.unreduced[1:] == tuple((7 * 4**i, i + 1) for i in range(30))
+    assert trace.masses[1:] == tuple(Fraction(4, 7) ** i for i in range(30))
+
+
+@pytest.mark.parametrize("eps", [Fraction(5, 12), Fraction(3, 10)], ids=str)
+def test_composite_base_traces_match_the_oracle(monkeypatch, eps):
+    calls = _counting_reduced(monkeypatch)
+    for t in (mk_Mn(4), EX2, SPLITTING):
+        _assert_matches_oracle(t, eps, 25)
+    assert calls  # a composite d leaves totals that share a prime with d
+
+
+def test_trace_steps_each_live_class_once(monkeypatch):
+    # StateGraph.successors runs once for every class that evolve_trace
+    # visits with mass, exactly the named evolution's reducible classes
+    # before the horizon, and never on a normal form
+    calls = []
+    successors = StateGraph.successors
+
+    def counted(self, i, eps):
+        calls.append((self.forms[i], self.is_normal(i)))
+        return successors(self, i, eps)
+
+    monkeypatch.setattr(StateGraph, "successors", counted)
+    horizon = 12
+    for t in _anchors_and_random_terms():
+        for eps in REDUCTION_EPS:
+            strategy = Strategy.peps(eps)
+            calls.clear()
+            evolve_trace(t, strategy, horizon)
+            config = Configuration.dirac(t)
+            live = set()
+            for _ in range(horizon):
+                live.update(c for c in config.masses if not is_normal_form(config.reps[c]))
+                config = evolve(config, strategy)
+            assert not any(normal for _, normal in calls)
+            visited = [c for c, _ in calls]
+            assert len(visited) == len(set(visited)) and set(visited) == live, (render(t), eps)
 
 
 @given(
