@@ -15,14 +15,14 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import laws as laws_mod
 from . import repro as repro_mod
 from .montecarlo import SplitMix64, estimate
-from .pars import DEFAULT_STATE_CAP, StateCapExceeded, analyze, grid_expected_lengths
+from .pars import DEFAULT_STATE_CAP, TRM, StateCapExceeded, analyze, grid_expected_lengths
 from .strategies import DEFAULT_FUEL, Strategy, n_steps, parse_probability, walk
 from .terms import (
     NAMED_TERMS,
@@ -85,41 +85,68 @@ def parse_grid(text: str) -> list[Fraction]:
     return sorted(set(grid))
 
 
+class _JsonText(str):
+    """Text that is already JSON, at its place in the payload; _json writes
+    it as it is."""
+
+    __slots__ = ()
+
+
 # the text of each scalar type the CLI's payloads hold, by exact type (a bool is not an int here)
-_SCALAR_TEXT = {str: _quote, int: repr, type(None): lambda _: "null"}
+_SCALAR_TEXT = {str: _quote, _JsonText: str, int: repr, type(None): lambda _: "null"}
 
 
-def _json(obj, indent: str = "") -> str:
+def _json(obj) -> str:
     """The text of json.dumps(obj, indent=2) for dicts with str keys, lists,
-    str, int and None, the only types the CLI's payloads hold; any other
-    type raises TypeError.  indent is the prefix of obj's own line.  A
-    scalar inside a dict or list is written in place, without a call of
-    _json of its own."""
-    kind = type(obj)
-    scalar = _SCALAR_TEXT.get(kind)
-    if scalar is not None:
-        return scalar(obj)
-    inner = indent + "  "
-    items = []
-    if kind is dict:
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            scalar = _SCALAR_TEXT.get(type(value))
-            text = _json(value, inner) if scalar is None else scalar(value)
-            items.append(f"{_quote(key)}: {text}")
-        opening, closing = "{", "}"
-    elif kind is list:
-        for value in obj:
-            scalar = _SCALAR_TEXT.get(type(value))
-            items.append(_json(value, inner) if scalar is None else scalar(value))
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not items:
-        return opening + closing
-    separator = ",\n" + inner
-    return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
+    str, int and None, the only types the CLI's payloads hold, with each
+    _JsonText written as it is; any other type raises TypeError.
+
+    One loop on an explicit stack, so the depth of nesting is not bounded
+    by the recursion limit.  A scalar inside a dict or list is written in
+    place, and a list of str (analyze's states) with one join."""
+    parts = []
+    todo = [(obj, "")]  # last first: text to write, or (value, indent of its line)
+    while todo:
+        entry = todo.pop()
+        if type(entry) is not tuple:
+            parts.append(entry)
+            continue
+        value, indent = entry
+        kind = type(value)
+        scalar = _SCALAR_TEXT.get(kind)
+        if scalar is not None:
+            parts.append(scalar(value))
+            continue
+        inner = indent + "  "
+        separator = ",\n" + inner
+        if kind is dict:
+            for key in value:
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items = zip([f"{_quote(key)}: " for key in value], value.values())
+            opening, closing = "{", "}"
+        elif kind is list:
+            if value and {*map(type, value)} == {str}:
+                parts.append(f"[\n{inner}{separator.join(map(_quote, value))}\n{indent}]")
+                continue
+            items = zip(repeat(""), value)
+            opening, closing = "[", "]"
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if not value:
+            parts.append(opening + closing)
+            continue
+        pending, lead = [], f"{opening}\n{inner}"
+        for head, item in items:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                pending += (lead + head, (item, inner))
+            else:
+                pending.append(lead + head + scalar(item))
+            lead = separator
+        pending.append(f"\n{indent}{closing}")
+        todo += reversed(pending)
+    return "".join(parts)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -159,6 +186,9 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+_TRM_TEXT = _quote(TRM)  # the text of an edge's "to" when it is the absorbing class
+
+
 def cmd_analyze(args) -> int:
     term_id, t = resolve_term(args.term)
     eps = parse_probability(args.eps)
@@ -172,6 +202,14 @@ def cmd_analyze(args) -> int:
             "guarantee assumes eps>0"
         )
     if args.format == "json":
+        # the edges at the indent json.dumps(indent=2) gives them, one format each
+        edges = ",\n    ".join([
+            f'{{\n      "from": {tr["from"]},\n'
+            f'      "to": {_TRM_TEXT if tr["to"] == TRM else tr["to"]},\n'
+            f'      "prob": {_quote(tr["prob"])}\n    }}'
+            for tr in report["transitions"]
+        ])
+        report["transitions"] = _JsonText(f"[\n    {edges}\n  ]" if edges else "[]")
         _emit(_json(report) + "\n", args.out)
         return EXIT_OK
     lines = [

@@ -488,8 +488,8 @@ class ChainAnalysis:
         walk (StateGraph.rep), so a state's text is read from the memo, and
         the graph keeps every representative alive while the memo is in
         use.  Each distinct weight's num/den text is formatted once.  The
-        CLI builds its parser once per process and writes this report
-        through its one JSON emitter, cli._json.
+        CLI's json format writes the transitions with one format each and
+        the rest of the report through its JSON emitter, cli._json.
         """
         graph, memo = self.graph, {}
         index = {i: n for n, i in enumerate(self.states)}

@@ -26,12 +26,15 @@ from lambdalab.cli import (
     sweep_rows,
 )
 from lambdalab.laws import GRID_WITH_ZERO, anchor_corpus, random_corpus
+from lambdalab.pars import analyze
+from lambdalab.strategies import Strategy
 from lambdalab.terms import (
     SubCalculus,
     mk_Cn,
     mk_Mn,
     mk_Omega,
     parse,
+    random_term,
     redexes,
     reduce_at,
     render,
@@ -520,6 +523,71 @@ def test_json_emitter_matches_json_dumps(value):
 def test_json_emitter_rejects_other_types(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+def test_json_emitter_does_not_recurse():
+    # dicts and lists in turn, 5 000 deep; json.dumps itself recurses, so
+    # the expected text is written line by line
+    depth = 5_000
+    value = "leaf"
+    for level in reversed(range(depth)):
+        value = {"k": value} if level % 2 == 0 else [value]
+    opening = ["{"] + [
+        "  " * level + ('"k": [' if level % 2 == 1 else "{") for level in range(1, depth)
+    ]
+    closing = ["  " * level + ("}" if level % 2 == 0 else "]") for level in reversed(range(depth))]
+    leaf = "  " * depth + ('"k": "leaf"' if depth % 2 == 1 else '"leaf"')
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = _json(value)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "\n".join(opening + [leaf] + closing)
+
+
+EPS_ZERO_NOTE = (
+    "eps=0 is deterministic innermost reduction; the finite-expectation "
+    "guarantee assumes eps>0"
+)
+WRITER_EPS = ("0", "2/7", "1/2", "1")
+
+
+def _assert_analyze_json_is_json_dumps(capsys, literal: str, eps: str) -> dict:
+    """analyze --format json on literal prints json.dumps of the library's
+    report with the CLI's keys added, in the CLI's order; returns the report."""
+    chain = analyze(parse(literal), Strategy.peps(Fraction(eps)))
+    payload = chain.to_report()
+    payload["term_id"] = literal
+    payload["expected_length_decimal"] = fraction_to_decimal(chain.expected_length)
+    if eps == "0":
+        payload["note"] = EPS_ZERO_NOTE
+    code, out = run_cli(capsys, "analyze", literal, "--eps", eps, "--format", "json")
+    assert code == EXIT_OK
+    assert out == json.dumps(payload, indent=2) + "\n", (literal, eps)
+    return payload
+
+
+@pytest.mark.parametrize("tag", list(SubCalculus), ids=lambda tag: tag.value)
+def test_analyze_json_is_json_dumps_of_the_report_on_random_terms(capsys, tag):
+    reducible = 0
+    for seed in range(150):
+        literal = render(random_term(seed, 20, tag))
+        for eps in WRITER_EPS:
+            reducible += bool(_assert_analyze_json_is_json_dumps(capsys, literal, eps)["states"])
+    assert reducible >= 150  # the corpus is not all normal forms
+
+
+@pytest.mark.parametrize("eps", WRITER_EPS)
+def test_analyze_json_is_json_dumps_of_the_report_on_special_terms(capsys, eps):
+    normal = _assert_analyze_json_is_json_dumps(capsys, "x", eps)
+    assert normal["states"] == normal["transitions"] == []
+    omega = _assert_analyze_json_is_json_dumps(capsys, r"(\x.x x) (\x.x x)", eps)
+    assert omega["transitions"] == [{"from": 0, "to": 0, "prob": "1/1"}]
+    assert omega["expected_length"] == "inf"
+    # a 2-state component under the origin where both sides step
+    pinned = _assert_analyze_json_is_json_dumps(capsys, r"(\w.c) ((\x.x x) (\y.y (\z.y z)))", eps)
+    assert len(pinned["states"]) == (1 if eps == "1" else 3)
 
 
 REPEATED_MAIN_COMMANDS = (

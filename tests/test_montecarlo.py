@@ -161,8 +161,8 @@ def test_landing_walk_stops_at_the_budget(monkeypatch):
 
 def _count_draws(monkeypatch) -> dict:
     # perfbench's tracer counts draws and rejections by wrapping these two
-    # methods, so inlining the draw into the sampler waits until the
-    # library keeps its own counters (ROADMAP item 3)
+    # methods, so inlining the draw into the sampler (ROADMAP item 2) waits
+    # until perfbench reads the library's own counters (item 1b)
     counts = {"below": 0, "next_u64": 0}
     for name in counts:
         method = getattr(SplitMix64, name)
