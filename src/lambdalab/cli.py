@@ -53,11 +53,12 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def fraction_to_decimal(f: Optional[Fraction], sig: int = 12) -> str:
+def fraction_to_decimal(f: Optional[Fraction]) -> str:
+    """f to 12 significant digits, or "inf" for None."""
     if f is None:
         return "inf"
     with localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = 12
         return str(Decimal(f.numerator) / Decimal(f.denominator))
 
 
@@ -74,6 +75,8 @@ def resolve_term(text: str) -> tuple[str, Term]:
                 raise ValueError(f"{text}: index {index!r} is not an integer") from None
             if n < 1:
                 raise ValueError(f"{text}: index must be >= 1, got {n}")
+            if n > sys.getrecursionlimit():  # refused before a term this deep is built
+                raise RecursionError(f"{text}: index above the recursion limit")
             return text, make(n)
     return text, parse(text)
 
@@ -85,25 +88,18 @@ def parse_grid(text: str) -> list[Fraction]:
     return sorted(set(grid))
 
 
-class _JsonText(str):
-    """Text that is already JSON, at its place in the payload; _json writes
-    it as it is."""
-
-    __slots__ = ()
-
-
 # the text of each scalar type the CLI's payloads hold, by exact type (a bool is not an int here)
-_SCALAR_TEXT = {str: _quote, _JsonText: str, int: repr, type(None): lambda _: "null"}
+_SCALAR_TEXT = {str: _quote, int: repr, type(None): lambda _: "null"}
 
 
 def _json(obj) -> str:
     """The text of json.dumps(obj, indent=2) for dicts with str keys, lists,
-    str, int and None, the only types the CLI's payloads hold, with each
-    _JsonText written as it is; any other type raises TypeError.
+    str, int and None, the only types the CLI's payloads hold; any other
+    type raises TypeError.
 
     One loop on an explicit stack, so the depth of nesting is not bounded
     by the recursion limit.  A scalar inside a dict or list is written in
-    place, and a list of str (analyze's states) with one join."""
+    place."""
     parts = []
     todo = [(obj, "")]  # last first: text to write, or (value, indent of its line)
     while todo:
@@ -126,9 +122,6 @@ def _json(obj) -> str:
             items = zip([f"{_quote(key)}: " for key in value], value.values())
             opening, closing = "{", "}"
         elif kind is list:
-            if value and {*map(type, value)} == {str}:
-                parts.append(f"[\n{inner}{separator.join(map(_quote, value))}\n{indent}]")
-                continue
             items = zip(repeat(""), value)
             opening, closing = "[", "]"
         else:
@@ -189,6 +182,29 @@ def cmd_reduce(args) -> int:
 _TRM_TEXT = _quote(TRM)  # the text of an edge's "to" when it is the absorbing class
 
 
+def _analyze_json(report: dict) -> str:
+    """The text of json.dumps(report, indent=2) for analyze's report, whose
+    values are all str but two arrays: the states, written with one join,
+    and the transitions, with one format per edge."""
+    fields = []
+    for key, value in report.items():
+        if key == "states":
+            items = [*map(_quote, value)]
+        elif key == "transitions":
+            items = [
+                f'{{\n      "from": {tr["from"]},\n'
+                f'      "to": {_TRM_TEXT if tr["to"] == TRM else tr["to"]},\n'
+                f'      "prob": {_quote(tr["prob"])}\n    }}'
+                for tr in value
+            ]
+        else:
+            fields.append(f"{_quote(key)}: {_quote(value)}")
+            continue
+        array = ",\n    ".join(items)
+        fields.append(f"{_quote(key)}: " + (f"[\n    {array}\n  ]" if items else "[]"))
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def cmd_analyze(args) -> int:
     term_id, t = resolve_term(args.term)
     eps = parse_probability(args.eps)
@@ -202,15 +218,7 @@ def cmd_analyze(args) -> int:
             "guarantee assumes eps>0"
         )
     if args.format == "json":
-        # the edges at the indent json.dumps(indent=2) gives them, one format each
-        edges = ",\n    ".join([
-            f'{{\n      "from": {tr["from"]},\n'
-            f'      "to": {_TRM_TEXT if tr["to"] == TRM else tr["to"]},\n'
-            f'      "prob": {_quote(tr["prob"])}\n    }}'
-            for tr in report["transitions"]
-        ])
-        report["transitions"] = _JsonText(f"[\n    {edges}\n  ]" if edges else "[]")
-        _emit(_json(report) + "\n", args.out)
+        _emit(_analyze_json(report) + "\n", args.out)
         return EXIT_OK
     lines = [
         f"term: {term_id} = {report['origin']}",
@@ -289,33 +297,32 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# the moments of an estimate that montecarlo prints, to six decimals, in order
+_MOMENTS = ("mean", "sample_variance", "confidence_halfwidth_95")
+
+
 def cmd_montecarlo(args) -> int:
     term_id, t = resolve_term(args.term)
-    eps = parse_probability(args.eps)
-    est = estimate(t, Strategy.peps(eps), args.seed, args.samples, args.max_steps)
+    strategy = Strategy.peps(parse_probability(args.eps))
+    est = estimate(t, strategy, args.seed, args.samples, args.max_steps)
     code = EXIT_INCONCLUSIVE if est.cutoff_count == est.sample_count else EXIT_OK
+    payload = {
+        "term_id": term_id,
+        "strategy": strategy.name,
+        "base_seed": args.seed,
+        "sample_count": est.sample_count,
+        "cutoff_count": est.cutoff_count,
+        **{key: f"{getattr(est, key):.6f}" for key in _MOMENTS},
+    }
     if args.format == "json":
-        payload = {
-            "term_id": term_id,
-            "strategy": Strategy.peps(eps).name,
-            "base_seed": args.seed,
-            "sample_count": est.sample_count,
-            "cutoff_count": est.cutoff_count,
-            "mean": f"{est.mean:.6f}",
-            "sample_variance": f"{est.sample_variance:.6f}",
-            "confidence_halfwidth_95": f"{est.confidence_halfwidth_95:.6f}",
-        }
         _emit(_json(payload) + "\n", args.out)
         return code
     lines = [
         f"term: {term_id} = {render(t)}",
-        f"strategy: {Strategy.peps(eps).name}",
+        f"strategy: {strategy.name}",
         f"samples: {est.sample_count} (base seed {args.seed}, max {args.max_steps} steps)",
         f"cutoffs: {est.cutoff_count}",
-        f"mean: {est.mean:.6f}",
-        f"sample_variance: {est.sample_variance:.6f}",
-        f"confidence_halfwidth_95: {est.confidence_halfwidth_95:.6f}",
-    ]
+    ] + [f"{key}: {payload[key]}" for key in _MOMENTS]
     _emit("\n".join(lines) + "\n", args.out)
     return code
 

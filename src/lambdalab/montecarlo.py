@@ -11,8 +11,8 @@ this scheme; never change it silently.
 Runs count steps on a jump table indexed by class id: each side of a
 branching class jumps over the draw-free steps that follow its draw, so a
 run costs one lookup per draw.  estimate reseeds one generator per run.
-A run's reducts come from strategies.walk, which draws the same way, so
-the jump table's graph is the only one a run is sampled on.
+strategies.walk, the run that reduce prints, draws as _Sampler.run does;
+runs here do not take their reducts from it.
 Each draw stays a call of SplitMix64.below, which calls next_u64, because
 the benchmark's tracer counts draws and rejections by wrapping these two.
 """

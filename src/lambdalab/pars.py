@@ -487,9 +487,7 @@ class ChainAnalysis:
         representative is built from its parent's and rendered in the same
         walk (StateGraph.rep), so a state's text is read from the memo, and
         the graph keeps every representative alive while the memo is in
-        use.  Each distinct weight's num/den text is formatted once.  The
-        CLI's json format writes the transitions with one format each and
-        the rest of the report through its JSON emitter, cli._json.
+        use.  Each distinct weight's num/den text is formatted once.
         """
         graph, memo = self.graph, {}
         index = {i: n for n, i in enumerate(self.states)}

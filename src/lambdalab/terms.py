@@ -140,14 +140,14 @@ class GenerationExhausted(RuntimeError):
     """random_term could not satisfy its filter within the retry budget."""
 
 
-def ensure_recursion_headroom(limit: int = 20_000) -> None:
-    """Raise (never lower) the interpreter recursion limit.
+def ensure_recursion_headroom() -> None:
+    """Raise (never lower) the interpreter recursion limit to 20 000.
 
     Term traversals recurse on term depth; left application spines produced
     by duplicating reductions can reach depths in the thousands.
     """
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+    if sys.getrecursionlimit() < 20_000:
+        sys.setrecursionlimit(20_000)
 
 
 # ---------------------------------------------------------------------------

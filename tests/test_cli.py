@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -468,6 +469,28 @@ def test_deeply_nested_term_exits_3(capsys, literal):
         assert code == EXIT_USAGE and captured.out == ""
         assert captured.err.startswith("lambdalab: error: term nested too deeply")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "Mn:99999999999", "--eps", "1/2", "--state-cap", "1"),
+     ("reduce", "Cn:99999999999")],
+    ids=["analyze-Mn", "reduce-Cn"],
+)
+def test_family_index_above_recursion_limit_is_refused_before_building(capsys, argv):
+    started = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - started
+    assert (code, capsys.readouterr()) == (
+        EXIT_USAGE, ("", "lambdalab: error: term nested too deeply to traverse\n")
+    )
+    assert elapsed < 0.5
+
+
+def test_family_index_below_recursion_limit_is_built(capsys):
+    code, out = run_cli(capsys, "analyze", "Mn:19000", "--eps", "1/2", "--state-cap", "1")
+    assert code == EXIT_INCONCLUSIVE
+    assert out.startswith("inconclusive: ")
 
 
 def test_deeply_parenthesised_variable_parses(capsys):

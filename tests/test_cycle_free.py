@@ -151,10 +151,15 @@ def test_ratchet_flags_self_mutual_and_cross_module_recursion(tmp_path):
         ("reduce", "Mn:3", "--strategy", "peps:1/2"),
         ("sweep", "Mn:3"),
         ("laws", "--suite", "core", "--count", "20"),
+        # the outputs of cli._json, which stays because json.dumps(indent=2) leaves cycles
+        ("montecarlo", "example2", "--eps", "1/2", "--format", "json"),
+        ("sweep", "Mn:3", "--format", "json"),
+        ("laws", "--suite", "core", "--count", "20", "--format", "json"),
     ],
     ids=[
         "analyze-literal", "analyze-dup-json", "analyze-multi-state", "analyze-renaming",
         "montecarlo", "reduce-peps", "sweep", "laws-core",
+        "montecarlo-json", "sweep-json", "laws-core-json",
     ],
 )
 def test_cli_run_leaves_no_cyclic_garbage(capsys, argv):
