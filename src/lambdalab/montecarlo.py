@@ -49,11 +49,23 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Exactly uniform draw in range(n): top-bits rejection."""
+        """Exactly uniform draw in range(n): top-bits rejection.  With k the
+        bit length of n - 1, a candidate is the top k bits of one output, or
+        for k > 64 of ceil(k/64) outputs joined high word first."""
         k = (n - 1).bit_length()
-        shift = 64 - k
+        if k <= 64:
+            shift = 64 - k
+            while True:
+                r = self.next_u64() >> shift
+                if r < n:
+                    return r
+        words = -(-k // 64)
+        shift = 64 * words - k
         while True:
-            r = self.next_u64() >> shift
+            r = 0
+            for _ in range(words):
+                r = (r << 64) | self.next_u64()
+            r >>= shift
             if r < n:
                 return r
 

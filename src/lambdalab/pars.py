@@ -35,6 +35,7 @@ formulas for equality, not tolerance.
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -353,63 +354,78 @@ def evolve_trace(t: Term, strategy: Strategy, horizon: int) -> EvolutionTrace:
     division and no big gcd; only the other steps go through _reduced.
     Once every mass is absorbed, the rest of the trace is zeros and is not
     stepped.
+
+    The call runs with the cyclic collector paused and gives the caller's
+    setting back on the way out, by return or by exception.  Each step
+    makes about two tracked objects, a mass and an unreduced pair, which
+    with the collector on set off young collections whose survivors set off
+    full ones over the caller's whole heap.  The pause is sound because the
+    package makes no reference cycles, so all that the call drops is still
+    freed by reference counting, at once.  It is process-wide: another
+    thread runs without the collector while the call lasts.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    eps = strategy.eps
-    a, d = eps.numerator, eps.denominator
-    b = d - a
-    graph = StateGraph()
-    rows: dict[int, tuple] = {}  # (splits, live targets) of each class that held mass
-    root = graph.intern(t)
-    current: dict[int, int] = {} if graph.is_normal(root) else {root: 1}
-    s = 0
-    powers = [1]
-    unreduced = [(1, 0)]
-    masses = [_ONE]
-    for _ in range(horizon):
-        if not current:
-            rest = horizon + 1 - len(masses)
-            unreduced += [(0, s)] * rest
-            masses += [_ZERO] * rest
-            break
-        nxt: dict[int, int] = {}
-        one_way_masses = []  # (target, mass) of the one-way rows, weighed below
-        total = 0
-        split = False
-        for i, m in current.items():
-            row = rows.get(i)
-            if row is None:  # a split row keeps (id, weight) pairs, a one-way row the id
-                ids = graph.successors(i, eps)
-                if len(ids) == 2:
-                    live = zip(ids, (a, b))
-                    row = (True, tuple((j, w) for j, w in live if not graph.is_normal(j)))
-                else:
-                    row = (False, tuple(j for j in ids if not graph.is_normal(j)))
-                rows[i] = row
-            total += m
-            splits, targets = row
-            if splits:
-                split = True
-                for j, w in targets:
-                    nxt[j] = nxt.get(j, 0) + m * w
-            elif targets:
-                one_way_masses.append((targets[0], m))
-        k = s  # the power of d under the stepped total
-        one_way = d if split else 1
-        if split:
-            s += 1
-            powers.append(powers[-1] * d)
-        for j, m in one_way_masses:
-            nxt[j] = nxt.get(j, 0) + m * one_way
-        current = nxt
-        unreduced.append((total * one_way, s))
-        r = total % d
-        if k == 0 or (r and gcd(r, d) == 1):
-            masses.append(_coprime(total, powers[k]))
-        else:
-            masses.append(_reduced(total, k, d, powers))
-    return EvolutionTrace(tuple(masses), tuple(unreduced), d, tuple(powers))
+    enabled = gc.isenabled()  # the caller's setting, restored on the way out
+    gc.disable()
+    try:
+        eps = strategy.eps
+        a, d = eps.numerator, eps.denominator
+        b = d - a
+        graph = StateGraph()
+        rows: dict[int, tuple] = {}  # (splits, live targets) of each class that held mass
+        root = graph.intern(t)
+        current: dict[int, int] = {} if graph.is_normal(root) else {root: 1}
+        s = 0
+        powers = [1]
+        unreduced = [(1, 0)]
+        masses = [_ONE]
+        for _ in range(horizon):
+            if not current:
+                rest = horizon + 1 - len(masses)
+                unreduced += [(0, s)] * rest
+                masses += [_ZERO] * rest
+                break
+            nxt: dict[int, int] = {}
+            one_way_masses = []  # (target, mass) of the one-way rows, weighed below
+            total = 0
+            split = False
+            for i, m in current.items():
+                row = rows.get(i)
+                if row is None:  # a split row keeps (id, weight) pairs, a one-way row the id
+                    ids = graph.successors(i, eps)
+                    if len(ids) == 2:
+                        live = zip(ids, (a, b))
+                        row = (True, tuple((j, w) for j, w in live if not graph.is_normal(j)))
+                    else:
+                        row = (False, tuple(j for j in ids if not graph.is_normal(j)))
+                    rows[i] = row
+                total += m
+                splits, targets = row
+                if splits:
+                    split = True
+                    for j, w in targets:
+                        nxt[j] = nxt.get(j, 0) + m * w
+                elif targets:
+                    one_way_masses.append((targets[0], m))
+            k = s  # the power of d under the stepped total
+            one_way = d if split else 1
+            if split:
+                s += 1
+                powers.append(powers[-1] * d)
+            for j, m in one_way_masses:
+                nxt[j] = nxt.get(j, 0) + m * one_way
+            current = nxt
+            unreduced.append((total * one_way, s))
+            r = total % d
+            if k == 0 or (r and gcd(r, d) == 1):
+                masses.append(_coprime(total, powers[k]))
+            else:
+                masses.append(_reduced(total, k, d, powers))
+        return EvolutionTrace(tuple(masses), tuple(unreduced), d, tuple(powers))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def derivation_length_dist(trace: EvolutionTrace) -> dict[int, Fraction]:

@@ -21,6 +21,9 @@ path on a named term of the class wherever a named reduct is wanted.
 A recursive traversal is a module-level function that takes its state as
 arguments, never a nested one: a nested function that calls itself is a
 reference cycle through its closure cell, left for the cyclic collector.
+The package frees all it makes by reference counting for a second reason
+too: pars.evolve_trace runs with the cyclic collector paused, so a cycle
+made under the pause would wait for a later collection.
 
 Concrete syntax (UTF-8):
 

@@ -148,6 +148,32 @@ def test_reduce_peps_seeded_trace_deterministic(capsys):
     assert first == second
 
 
+# a denominator above 2**64, so each draw joins two SplitMix64 outputs
+WIDE = 99999999999999999999999
+
+
+@pytest.mark.parametrize("argv", [
+    ("montecarlo", "Mn:2", "--eps", f"1/{WIDE}", "--samples", "2"),
+    ("reduce", "Mn:2", "--strategy", f"peps:1/{WIDE}", "--fuel", "5"),
+], ids=["montecarlo", "reduce"])
+def test_samplers_take_a_wide_eps_near_ri(capsys, argv):
+    # near eps 0 a run takes RI at every draw but about one in 1e23, and RI
+    # never normalises Mn:2: every run is cut off, which is inconclusive
+    assert main(list(argv)) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("montecarlo", "Mn:2", "--eps", f"{WIDE - 1}/{WIDE}", "--samples", "20"), "mean: 5.000000"),
+    (("reduce", "Mn:2", "--strategy", f"peps:{WIDE - 1}/{WIDE}", "--fuel", "50"),
+     "normal form in 5 steps"),
+], ids=["montecarlo", "reduce"])
+def test_samplers_take_a_wide_eps_near_lo(capsys, argv, line):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert line in out.splitlines()
+
+
 # a cycle whose LO reduct renames a binder, so every line names the reduct
 RENAMING_CYCLE = "a ((\\v0.v0 v0) (\\v1.v1 v1))"
 

@@ -8,15 +8,24 @@ runtime test checks that whole CLI runs leave no cycle of any kind.
 
 A ratchet sits beside them: the module-level functions that recurse may
 only be those in RECURSIVE, so no new traversal depends on the
-interpreter's recursion limit."""
+interpreter's recursion limit.
+
+Because nothing needs the cyclic collector, pars.evolve_trace runs with it
+paused.  The tests at the end check that the pause holds for the whole call
+and gives the caller's setting back, and a second ratchet keeps
+evolve_trace the only function of the package that touches gc."""
 
 import ast
 import gc
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lambdalab import cli
+from lambdalab import cli, pars
+from lambdalab.strategies import Strategy
+from lambdalab.terms import mk_Mn
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lambdalab"
 MODULES = sorted(PACKAGE.rglob("*.py"))
@@ -173,3 +182,133 @@ def test_cli_run_leaves_no_cyclic_garbage(capsys, argv):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the collector pause in pars.evolve_trace
+
+MN8 = mk_Mn(8)
+PEPS_3_7 = Strategy.peps(Fraction(3, 7))
+
+
+@contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off, and back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "paused"])
+def test_evolve_trace_gives_the_collector_back_on_return(enabled):
+    with _collector(enabled):
+        pars.evolve_trace(MN8, PEPS_3_7, 50)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "paused"])
+def test_evolve_trace_gives_the_collector_back_on_an_exception(monkeypatch, enabled):
+    seen = []
+
+    def planted(graph, i, eps):
+        seen.append(gc.isenabled())
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(pars.StateGraph, "successors", planted)
+    with _collector(enabled):
+        with pytest.raises(RuntimeError, match="planted"):
+            pars.evolve_trace(MN8, PEPS_3_7, 50)
+        assert gc.isenabled() is enabled
+    assert seen == [False]  # raised inside the paused region
+
+
+def test_evolve_trace_runs_no_collection():
+    # 1400 steps make about 2 800 tracked objects, enough for several young
+    # collections with the collector on.  What the call leaves starts one
+    # after it returns, so the flag goes down first: that allocates nothing.
+    during, starts = [False], []
+
+    def hook(phase, info):
+        if phase == "start" and during[0]:
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        with _collector(True):
+            during[0] = True
+            trace = pars.evolve_trace(MN8, PEPS_3_7, 1400)
+            during[0] = False
+    finally:
+        gc.callbacks.remove(hook)
+    assert trace.horizon == 1400
+    assert starts == []
+
+
+def test_evolve_trace_leaves_no_cyclic_garbage():
+    gc.collect()
+    with _collector(False):
+        pars.evolve_trace(MN8, PEPS_3_7, 1400)
+        assert gc.collect() == 0
+
+
+# The functions of the package that touch the cyclic collector, as
+# "module.function".  A pause is sound only while the package makes no
+# cycles, and a new one needs its own measured change.
+COLLECTOR_USERS = {"pars.evolve_trace"}
+
+
+def _uses_gc(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Name) and n.id == "gc"
+        or isinstance(n, ast.ImportFrom) and n.module == "gc"
+        or isinstance(n, ast.Import) and any(a.name == "gc" and a.asname for a in n.names)
+        for n in ast.walk(node)
+    )
+
+
+def _collector_users(paths) -> set[str]:
+    """The functions of the modules at paths that name the gc module or
+    import from it, as "module.function" or "module.Class.method", and
+    "module" where a statement outside any function does; a plain
+    ``import gc`` counts for none."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        stack = [(path.stem, node) for node in tree.body]
+        while stack:
+            scope, node = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                stack += [(f"{scope}.{node.name}", n) for n in node.body]
+            elif isinstance(node, FUNCTIONS):
+                if _uses_gc(node):
+                    found.add(f"{scope}.{node.name}")
+            elif _uses_gc(node):
+                found.add(scope)
+    return found
+
+
+def test_only_evolve_trace_touches_the_collector():
+    assert _collector_users(MODULES) == COLLECTOR_USERS
+
+
+def test_collector_ratchet_flags_functions_methods_and_module_code(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import gc\n"
+        "def pause():\n"
+        "    gc.disable()\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from gc import collect\n"
+        "        return collect()\n"
+        "    def clean(self):\n"
+        "        return 1\n"
+        "def clean():\n"
+        "    return 1\n"
+        "THRESHOLD = gc.get_threshold()\n"
+    )
+    assert _collector_users([module]) == {"m.pause", "m.C.m", "m"}

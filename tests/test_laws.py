@@ -11,6 +11,8 @@ from lambdalab.laws import (
     GRID_WITH_ZERO,
     LawReport,
     _acyclic,
+    _lo_steps,
+    _shortest_to_nf,
     _unique_length_to_nf,
     default_corpora,
     law_anf_equal_length,
@@ -451,3 +453,25 @@ def test_acyclic():
     assert not _acyclic([0], {0: (0,)}.__getitem__)
     assert not _acyclic([0, 1], {0: (1,), 1: (0,)}.__getitem__)
     assert _acyclic([0, 1, 2], {0: (1, 2), 1: (2,), 2: ()}.__getitem__)
+
+
+@pytest.mark.parametrize(
+    "t, shortest",
+    [(parse("\\x.x y"), 0), (mk_example2(), 3), (mk_Omega(), None)],
+    ids=["normal-form", "example2", "Omega"],
+)
+def test_shortest_to_nf_on_known_graphs(t, shortest):
+    # example2 reaches its normal form in 3 steps by contracting the
+    # argument first, against 4 for LO; Omega reaches none
+    graph = pars.StateGraph()
+    order = graph.closure(graph.intern(t), graph.beta, DEFAULT_GRAPH_CAP)
+    assert _shortest_to_nf(order, graph.beta) == shortest
+
+
+def test_lo_steps_size_guard_boundary():
+    # (\x.x x) (\y.y) has 7 nodes, its LO reducts 5 and 2
+    graph = pars.StateGraph()
+    i = graph.intern(parse("(\\x.x x) (\\y.y)"))
+    assert _lo_steps(graph, i, 10) == 2
+    assert _lo_steps(graph, i, 10, guard=5) == 2
+    assert _lo_steps(graph, i, 10, guard=4) is None

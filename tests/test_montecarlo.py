@@ -40,6 +40,63 @@ def test_splitmix64_below_is_exact_range():
     assert set(draws) == set(range(10))
 
 
+def _below_one_word(rng, n):
+    """below as it is for n <= 2**64: the top bits of one output."""
+    shift = 64 - (n - 1).bit_length()
+    while True:
+        r = rng.next_u64() >> shift
+        if r < n:
+            return r
+
+
+BELOW_ONE_WORD = sorted(
+    {1, 2, 3, 5, 7, 10, 11, 99, 1000, 99999999999}
+    | {2**k + d for k in range(1, 64) for d in (-1, 0, 1)}
+    | {2**64 - 1, 2**64}
+)
+
+
+def test_splitmix64_below_keeps_its_stream_up_to_two_to_the_64():
+    for seed in (0, 1, 12345):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for n in BELOW_ONE_WORD:
+            assert [rng.below(n) for _ in range(8)] == [_below_one_word(ref, n) for _ in range(8)]
+            assert rng.state == ref.state
+
+
+def test_splitmix64_below_joins_words_high_first():
+    words = SplitMix64(7)
+    w = [words.next_u64() for _ in range(4)]
+    assert SplitMix64(7).below(2**128) == (w[0] << 64) | w[1]
+    assert SplitMix64(7).below(2**65) == ((w[0] << 64) | w[1]) >> 63
+    assert SplitMix64(7).below(2**192) == (((w[0] << 64) | w[1]) << 64) | w[2]
+    # 2**64 + 1 keeps the top 65 of 128 bits and rejects a candidate above 2**64
+    rng = SplitMix64(7)
+    draws = [rng.below(2**64 + 1) for _ in range(50)]
+    assert all(0 <= r <= 2**64 for r in draws)
+
+
+def _chi_square(counts, expected):
+    return sum((c - expected) ** 2 / expected for c in counts)
+
+
+def test_splitmix64_below_is_uniform_above_two_to_the_64():
+    # n = 3 * 2**64 + 1 takes two words and keeps 66 bits; 16 equal-width
+    # buckets by value and 16 by low bits, 12 800 draws on a fixed seed.
+    # 37.70 is the 0.999 quantile of chi-square with 15 degrees of freedom.
+    n, draws, buckets = 3 * 2**64 + 1, 12_800, 16
+    rng = SplitMix64(2024)
+    values = [rng.below(n) for _ in range(draws)]
+    assert all(0 <= r < n for r in values)
+    by_value, by_low = [0] * buckets, [0] * buckets
+    for r in values:
+        by_value[r * buckets // n] += 1
+        by_low[r % buckets] += 1
+    assert _chi_square(by_value, draws / buckets) < 37.70
+    assert _chi_square(by_low, draws / buckets) < 37.70
+    assert max(values) > 2**65  # the high word reaches the top of the range
+
+
 def test_eps_one_is_deterministic_lo():
     for seed in (0, 7, 12345):
         result = sample_run(EX1, Strategy.peps(1), seed, 50)
@@ -97,6 +154,14 @@ def test_estimate_consistency_with_exact_value():
     est2 = estimate(EX2, HALF, base_seed=0, n=4000, max_steps=4000)
     assert est2.cutoff_count == 0
     assert abs(est2.mean - 3.5) <= 3 * est2.confidence_halfwidth_95
+
+
+def test_estimate_of_one_run_is_the_oracles():
+    est = estimate(EX2, HALF, base_seed=3, n=1, max_steps=100)
+    assert est.sample_count == 1
+    assert est.sample_variance == 0.0
+    assert est.confidence_halfwidth_95 == 0.0
+    assert est == oracle.estimate(EX2, HALF, 3, 1, 100)
 
 
 def test_estimate_rejects_bad_arguments():
